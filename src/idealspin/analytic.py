@@ -11,14 +11,12 @@ import bisect
 from dataclasses import dataclass
 from math import gcd
 
-from .errors import CostGuard, EvenIdeal, HypothesisViolated, NotCoprime
+from .errors import CostGuard, HypothesisViolated
 from .ideals import (
     IdealFactorization,
-    UNIT_IDEAL,
     apply_galois_ideal,
     enumerate_ideals,
     enumerate_prime_ideals,
-    find_generator,
     mangoldt,
     moebius,
     log_norm,
@@ -26,7 +24,7 @@ from .ideals import (
     tau,
 )
 from .logcomb import LogCombination
-from .spin import CongruenceFilter, canonical_ideal_generator, spin_record
+from .spin import CongruenceFilter, canonical_ideal_generator
 from .symbols import DirichletChar, residue_symbol
 from .units import FundamentalDomain
 

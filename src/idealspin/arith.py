@@ -5,6 +5,7 @@ Everything here is exact and deterministic (Pollard rho uses a fixed
 increment schedule, not randomness).
 """
 
+from itertools import compress
 from math import gcd, isqrt
 
 _MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
@@ -35,16 +36,17 @@ def is_prime(n: int) -> bool:
     return True
 
 
-def sieve_primes(limit: int) -> list[int]:
-    """All rational primes <= limit, ascending."""
-    if limit < 2:
+def sieve_primes(limit: int, lo: int = 2) -> list[int]:
+    """All rational primes p with lo <= p <= limit, ascending.  Only the
+    window [lo, limit] is sieved, by the primes up to isqrt(limit)."""
+    lo = max(lo, 2)
+    if limit < lo:
         return []
-    mark = bytearray([1]) * (limit + 1)
-    mark[0] = mark[1] = 0
-    for p in range(2, isqrt(limit) + 1):
-        if mark[p]:
-            mark[p * p :: p] = bytearray(len(mark[p * p :: p]))
-    return [i for i in range(2, limit + 1) if mark[i]]
+    mark = bytearray([1]) * (limit - lo + 1)
+    for p in sieve_primes(isqrt(limit)):
+        start = max(p * p, -(-lo // p) * p) - lo
+        mark[start::p] = bytearray(len(range(start, len(mark), p)))
+    return list(compress(range(lo, limit + 1), mark))
 
 
 def _pollard_rho(n: int) -> int:
@@ -199,6 +201,8 @@ def poly_roots_modp(f: list[int], p: int) -> list[int]:
         raise ValueError("zero polynomial")
     if p < 60 or len(f) - 1 >= p:
         return [r for r in range(p) if _poly_eval_modp(f, r, p) == 0]
+    if len(f) == 3 and jacobi(f[1] * f[1] - 4 * f[0] * f[2], p) == -1:
+        return []  # irreducible quadratic: skip the x^p powering
     # restrict to the product of linear factors: gcd(x^p - x, f)
     xp = poly_powmod([0, 1], p, f, p)
     xp_minus_x = list(xp) + [0] * (2 - len(xp))

@@ -1,6 +1,9 @@
 """Command-line front end: deterministic CSV/JSON emission for every
-experiment, a flat key=value config file with flag overrides, and a block
-parallel worker pool whose output is byte-identical for any worker count.
+experiment, a flat key=value config file with flag overrides, and one block
+scheduler.  The norm range [1, X] is cut into blocks holding a fixed number
+of rational primes, each block is scanned by the library's own prime-ideal
+stream, and the rows are merged in a fixed order, so the output is
+byte-identical for any worker count and any block size.
 
 Exit codes: 0 success, 1 usage errors, 2 hypothesis/budget errors (with a
 structured JSON object on stderr).
@@ -9,16 +12,14 @@ structured JSON object on stderr).
 import argparse
 import json
 import sys
-from dataclasses import dataclass
-from math import lcm
 
 from . import analytic, involution, selmer
 from .arith import sieve_primes
-from .errors import CostGuard, HypothesisViolated, IdealspinError
+from .errors import HypothesisViolated, IdealspinError
 from .fields import construct_field
-from .ideals import enumerate_ideals, enumerate_prime_ideals, split_prime, prime_power_ideal
-from .spin import spin_record, CongruenceFilter
-from .symbols import dirichlet_char, residue_symbol
+from .ideals import enumerate_ideals, enumerate_prime_ideals, split_prime
+from .spin import spin_prime_stream, spin_record
+from .symbols import residue_symbol
 from .units import build_domain, count_in_domain, domain_elements, verify_unit_plus_square
 
 _FAMILIES = {"shanks": "shanks_cubic", "lehmer": "lehmer_quintic", "quad": "real_quadratic"}
@@ -128,12 +129,20 @@ def _run_blocks(payload, block_fn, blocks, workers: int):
         return pool.map(block_fn, blocks)
 
 
-def _norm_blocks(X: int, size: int = 200_000):
-    lo = 1
+# Rational primes per block: enough work per block to pay for the fork and
+# the result transfer, small enough that --workers helps at modest X.
+PRIMES_PER_BLOCK = 1000
+
+
+def _norm_blocks(X: int):
+    """Cut [1, X] into consecutive ranges that each hold PRIMES_PER_BLOCK
+    rational primes (the last one holds the rest)."""
+    cuts = sieve_primes(X)[PRIMES_PER_BLOCK - 1 : -1 : PRIMES_PER_BLOCK]
     out = []
-    while lo <= X:
-        hi = min(X, lo + size - 1)
-        out.append((lo, hi))
+    lo = 1
+    for hi in cuts + [X]:
+        if lo <= hi:
+            out.append((lo, hi))
         lo = hi + 1
     return out
 
@@ -141,33 +150,18 @@ def _norm_blocks(X: int, size: int = 200_000):
 def _spins_block(block):
     lo, hi = block
     ctx, dom, degree_one_only, mod8, modM = _POOL_STATE["payload"]
-    conditions = []
-    if mod8:
-        conditions.append((8, mod8))
-    if modM:
-        conditions.append(modM)
-    filt = CongruenceFilter(ctx, conditions)
     rows = []
     gnf = 0
-    for p in sieve_primes(hi):
-        if p < lo:
+    for kind, item in spin_prime_stream(ctx, dom, hi, degree_one_only=degree_one_only,
+                                        mod8_class=mod8, mod_M=modM, lo=lo):
+        if kind == "generator_not_found":
+            gnf += 1
             continue
-        for pr in split_prime(ctx, p):
-            if not lo <= pr.norm <= hi:
-                continue
-            if degree_one_only and pr.f != 1:
-                continue
-            try:
-                rec = spin_record(ctx, dom, pr, mod_M=modM[0] if modM else None)
-            except GeneratorNotFound:
-                gnf += 1
-                continue
-            if conditions and (pr.p == 2 or not filt.admits(rec.generator)):
-                continue
-            rows.append((pr.norm, pr.p, pr.position,
-                         pr.r if pr.r is not None else -1,
-                         ":".join(str(c) for c in rec.generator.coords),
-                         rec.spins))
+        pr = item.prime
+        rows.append((pr.norm, pr.p, pr.position,
+                     pr.r if pr.r is not None else -1,
+                     ":".join(str(c) for c in item.generator.coords),
+                     item.spins))
     return rows, gnf
 
 
@@ -176,8 +170,8 @@ def _quad_block(block):
     ctx, dom = _POOL_STATE["payload"]
     rows = []
     seen = set()
-    for rec in involution.quad_spin_records(ctx, dom, hi):
-        if rec.p < lo or rec.p in seen:
+    for rec in involution.quad_spin_records(ctx, dom, hi, lo=lo):
+        if rec.p in seen:
             continue
         seen.add(rec.p)
         rows.append((rec.p, rec.beta, rec.spin_direct, rec.spin_formula,
@@ -189,9 +183,8 @@ def _selmer_block(block):
     lo, hi = block
     cfg, dom, include_dq = _POOL_STATE["payload"]
     rows = []
-    for c in selmer.scan_twist_candidates(cfg, dom, hi, include_disqualified=include_dq):
-        if c.p < lo:
-            continue
+    for c in selmer.scan_twist_candidates(cfg, dom, hi, include_disqualified=include_dq,
+                                          lo=lo):
         rows.append((c.p, 1 if c.qualified else 0,
                      c.spin if c.spin is not None else 0,
                      c.predicted_dim if c.predicted_dim is not None else 0,
@@ -227,18 +220,14 @@ def run(argv=None, out=sys.stdout, err=sys.stderr) -> int:
         args = top.parse_args(argv)  # explicit flags still win over the file
 
     try:
-        return _dispatch(args, out)
-    except (HypothesisViolated, CostGuard) as e:
-        json.dump({"error": type(e).__name__, "message": str(e)}, err)
-        err.write("\n")
-        return 2
+        return _dispatch(args, out, err)
     except IdealspinError as e:
         json.dump({"error": type(e).__name__, "message": str(e)}, err)
         err.write("\n")
         return 2
 
 
-def _dispatch(args, out) -> int:
+def _dispatch(args, out, err) -> int:
     cmd = args.command
 
     if cmd == "selftest":
@@ -356,7 +345,7 @@ def _dispatch(args, out) -> int:
         flat = [(r[1], r[3], r[0], r[4], *r[5]) for r in rows]
         _emit_csv(header, flat, out)
         if gnf:
-            sys.stderr.write(f'{{"generator_not_found": {gnf}}}\n')
+            err.write(f'{{"generator_not_found": {gnf}}}\n')
         return 0
 
     if cmd == "spin-sum":
@@ -405,8 +394,7 @@ def _dispatch(args, out) -> int:
 def _selftest(out, seed: int = 0) -> int:
     import random
 
-    from .ideals import make_ideal
-    from .spin import conjugation_relation_check, twisted_multiplicativity_check
+    from .spin import conjugation_relation_check
     from .units import domain_contains, make_totally_positive, reduce_to_domain
 
     rng = random.Random(seed)

@@ -13,9 +13,9 @@ sign decision either resolves exactly or raises PrecisionExhausted.
 """
 
 from fractions import Fraction
-from math import gcd, isqrt
+from math import isqrt
 
-from .arith import factorint, is_prime, squarefree
+from .arith import is_prime, squarefree
 from .errors import (
     EvenDiscriminant,
     IrreduciblePolyFailure,
@@ -27,7 +27,6 @@ from .roots import (
     MAX_BITS,
     RootIsolator,
     interval_eval,
-    interval_mul,
     interval_sign,
 )
 

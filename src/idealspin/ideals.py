@@ -14,7 +14,7 @@ from math import gcd, isqrt
 
 from .arith import factorint, poly_roots_modp, sieve_primes
 from .errors import GeneratorNotFound
-from .lattice import gram, hnf, hnf_contains, hnf_det, lattice_product, lll_reduce, short_vectors
+from .lattice import hnf_contains, hnf_det, lattice_product, lll_reduce, short_vectors
 from .logcomb import LogCombination
 
 
@@ -166,17 +166,26 @@ def residue_of(ctx, element, prime: PrimeIdealData) -> int:
     return eval_coords_mod_p(element.coords, prime.r, prime.p)
 
 
+def prime_ideals_in_norm_range(ctx, lo: int, hi: int, degree_one_only: bool = False):
+    """Every prime ideal with lo <= norm <= hi, ascending by (p, position).
+
+    The rational primes p < lo are split as well when p <= isqrt(hi): a
+    prime of degree f >= 2 above them can have its norm p^f in the range.
+    Cutting [1, X] into norm ranges therefore yields each prime ideal of
+    norm <= X exactly once."""
+    if hi < 2:
+        return
+    small = [] if degree_one_only else sieve_primes(min(isqrt(hi), lo - 1))
+    for p in small + sieve_primes(hi, lo=lo):
+        for pr in split_prime(ctx, p):
+            if lo <= pr.norm <= hi and (not degree_one_only or pr.f == 1):
+                yield pr
+
+
 def enumerate_prime_ideals(ctx, X: int, degree_one_only: bool = False):
     """All prime ideals of norm <= X, ascending by (norm, p, position)."""
-    if X < 2:
-        return []
-    out = []
-    for p in sieve_primes(X):
-        for pr in split_prime(ctx, p):
-            if pr.norm <= X and (not degree_one_only or pr.f == 1):
-                out.append(pr)
-    out.sort(key=lambda pr: pr.sort_key)
-    return out
+    return sorted(prime_ideals_in_norm_range(ctx, 1, X, degree_one_only),
+                  key=lambda pr: pr.sort_key)
 
 
 _ideal_caches: "weakref.WeakKeyDictionary" = weakref.WeakKeyDictionary()

@@ -9,9 +9,8 @@ dual pipeline.
 """
 
 from dataclasses import dataclass
-from math import gcd
 
-from .arith import jacobi, legendre, sieve_primes
+from .arith import jacobi, legendre
 from .errors import HypothesisViolated
 from .fields import FieldElement
 from .ideals import (
@@ -19,11 +18,11 @@ from .ideals import (
     elements_coprime,
     eval_coords_mod_p,
     galois_prime,
+    prime_ideals_in_norm_range,
     prime_power_ideal,
-    split_prime,
 )
 from .spin import canonical_ideal_generator
-from .units import FundamentalDomain, unit_square_image
+from .units import FundamentalDomain
 
 
 @dataclass(frozen=True)
@@ -156,25 +155,22 @@ def eq_10_11_sum(ctx) -> int:
     return total
 
 
-def quad_spin_records(ctx, dom: FundamentalDomain, X: int):
-    """QuadSpinRecords for qualifying primes of norm <= X: odd, split,
-    admitting a totally positive generator = 1 mod 8.  One record per prime
-    ideal; conjugate primes carry identical values."""
+def quad_spin_records(ctx, dom: FundamentalDomain, X: int, lo: int = 1):
+    """QuadSpinRecords for qualifying primes with lo <= norm <= X: odd,
+    split, admitting a totally positive generator = 1 mod 8.  One record per
+    prime ideal; conjugate primes carry identical values."""
     _require_quadratic(ctx)
-    d = ctx.disc_field
-    for p in sieve_primes(X):
-        if p == 2 or d % p == 0:
+    for prime in prime_ideals_in_norm_range(ctx, lo, X, degree_one_only=True):
+        p = prime.p
+        if p == 2 or prime.e > 1:
             continue
-        if legendre(d % p, p) != 1:
+        pi = qualifying_generator(ctx, dom, prime)
+        if pi is None:
             continue
-        for prime in split_prime(ctx, p):
-            pi = qualifying_generator(ctx, dom, prime)
-            if pi is None:
-                continue
-            conj = galois_prime(ctx, prime, 1)
-            direct = legendre(eval_coords_mod_p(pi.coords, conj.r, p), p)
-            formula = spin_involution_formula(ctx, pi)
-            yield QuadSpinRecord(p, prime, pi, pi.trace() // 2, direct, formula)
+        conj = galois_prime(ctx, prime, 1)
+        direct = legendre(eval_coords_mod_p(pi.coords, conj.r, p), p)
+        formula = spin_involution_formula(ctx, pi)
+        yield QuadSpinRecord(p, prime, pi, pi.trace() // 2, direct, formula)
 
 
 def involution_spin_sum(ctx, dom: FundamentalDomain, X: int) -> dict:

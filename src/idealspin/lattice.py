@@ -8,7 +8,6 @@ search guides and every emitted vector is re-checked exactly.
 """
 
 from fractions import Fraction
-from math import isqrt
 
 
 def hnf(vectors, n: int):

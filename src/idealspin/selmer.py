@@ -13,9 +13,9 @@ from dataclasses import dataclass
 from .arith import factorint, sieve_primes
 from .errors import GeneratorNotFound, HypothesisViolated
 from .fields import FieldContext, FieldElement, construct_field, find_root_in_field, poly_discriminant
-from .ideals import split_prime
+from .ideals import prime_ideals_in_norm_range
 from .spin import CongruenceFilter, spin_record
-from .units import FundamentalDomain, build_domain
+from .units import FundamentalDomain
 
 
 @dataclass(frozen=True)
@@ -104,17 +104,20 @@ def predict_selmer_dim(cfg: CurveConfig, candidate: TwistCandidate) -> int:
 
 
 def scan_twist_candidates(cfg: CurveConfig, dom: FundamentalDomain, X: int,
-                          include_disqualified: bool = False):
-    """TwistCandidates for rational primes p <= X of good reduction.
+                          include_disqualified: bool = False, lo: int = 1):
+    """TwistCandidates for rational primes lo <= p <= X of good reduction.
 
     The spin is computed for every prime above p and checked to be
     independent of the choice; GeneratorNotFound is surfaced per prime."""
     ctx = cfg.ctx
     filt = CongruenceFilter(ctx, [(8, tuple(ctx.coords_mod(ctx.one, 8)))])
-    for p in sieve_primes(X):
+    above: dict[int, list] = {}
+    for pr in prime_ideals_in_norm_range(ctx, lo, X, degree_one_only=True):
+        above.setdefault(pr.p, []).append(pr)
+    for p in sieve_primes(X, lo=lo):
         if cfg.conductor % p == 0:
             continue
-        primes = split_prime(ctx, p)
+        primes = above.get(p, [])
         if len(primes) != ctx.degree:
             if include_disqualified:
                 yield TwistCandidate(p, False, False, None, None,

@@ -11,7 +11,7 @@ of unit squares modulo the filter modulus.
 from dataclasses import dataclass
 from math import lcm
 
-from .arith import legendre, sieve_primes
+from .arith import legendre
 from .errors import EvenIdeal, GeneratorNotFound, NotCoprime
 from .fields import FieldElement
 from .ideals import (
@@ -21,8 +21,8 @@ from .ideals import (
     eval_coords_mod_p,
     find_generator,
     galois_prime,
+    prime_ideals_in_norm_range,
     prime_power_ideal,
-    split_prime,
 )
 from .symbols import mu_and_mu2, residue_symbol
 from .units import FundamentalDomain, canonical_generator, unit_square_image
@@ -169,11 +169,11 @@ def spin_prime_stream(ctx, dom: FundamentalDomain, X: int,
                       degree_one_only: bool = False,
                       mod8_class: tuple[int, ...] | None = None,
                       mod_M: tuple[int, tuple[int, ...]] | None = None,
-                      skip_even: bool = False):
-    """SpinRecords for prime ideals of norm <= X, ascending by
-    (norm, p, position).  Yields ('record', SpinRecord) and, for primes whose
-    generator search failed, ('generator_not_found', PrimeIdealData); the
-    caller decides how to account for those."""
+                      lo: int = 1):
+    """SpinRecords for prime ideals with lo <= norm <= X, in the order of
+    prime_ideals_in_norm_range.  Yields ('record', SpinRecord) and, for
+    primes whose generator search failed, ('generator_not_found',
+    PrimeIdealData); the caller decides how to account for those."""
     conditions = []
     if mod8_class is not None:
         conditions.append((8, tuple(mod8_class)))
@@ -181,25 +181,17 @@ def spin_prime_stream(ctx, dom: FundamentalDomain, X: int,
         M, mu = mod_M
         conditions.append((M, tuple(mu)))
     filt = CongruenceFilter(ctx, conditions)
-    for p in sieve_primes(X):
-        for prime in split_prime(ctx, p):
-            if prime.norm > X:
-                continue
-            if degree_one_only and prime.f != 1:
-                continue
-            if skip_even and p == 2:
-                continue
-            try:
-                rec = spin_record(ctx, dom, prime,
-                                  mod_M=mod_M[0] if mod_M else None)
-            except GeneratorNotFound:
-                yield ("generator_not_found", prime)
-                continue
-            if conditions and p == 2:
-                continue  # even primes cannot satisfy odd congruence filters
-            if not filt.admits(rec.generator):
-                continue
-            yield ("record", rec)
+    for prime in prime_ideals_in_norm_range(ctx, lo, X, degree_one_only):
+        try:
+            rec = spin_record(ctx, dom, prime, mod_M=mod_M[0] if mod_M else None)
+        except GeneratorNotFound:
+            yield ("generator_not_found", prime)
+            continue
+        if conditions and prime.p == 2:
+            continue  # even primes cannot satisfy odd congruence filters
+        if not filt.admits(rec.generator):
+            continue
+        yield ("record", rec)
 
 
 def collect_spin_records(ctx, dom, X, **kw):
@@ -211,66 +203,6 @@ def collect_spin_records(ctx, dom, X, **kw):
         else:
             fails.append(item)
     recs.sort(key=lambda r: r.prime.sort_key)
-    return recs, fails
-
-
-_PAR_STATE: dict = {}
-
-
-def _par_init(payload):
-    _PAR_STATE["payload"] = payload
-
-
-def _par_block(block):
-    ctx, dom, kw = _PAR_STATE["payload"]
-    lo, hi = block
-    recs, fails = [], []
-    for p in sieve_primes(hi):
-        if p < lo:
-            continue
-        for prime in split_prime(ctx, p):
-            if not lo <= prime.norm <= hi:
-                continue
-            try:
-                recs.append(spin_record(ctx, dom, prime, **kw))
-            except GeneratorNotFound:
-                fails.append(prime)
-    return recs, fails
-
-
-def parallel_spin_records(ctx, dom, X: int, workers: int = 1,
-                          block_size: int = 100_000, **kw):
-    """Unfiltered SpinRecords for all primes of norm <= X, block-parallel
-    over norm ranges with an ascending deterministic merge; the output is
-    identical for every worker count."""
-    blocks = []
-    lo = 1
-    while lo <= X:
-        hi = min(X, lo + block_size - 1)
-        blocks.append((lo, hi))
-        lo = hi + 1
-    payload = (ctx, dom, kw)
-    if workers <= 1 or len(blocks) <= 1:
-        _par_init(payload)
-        chunks = [_par_block(b) for b in blocks]
-    else:
-        import multiprocessing as mp
-
-        mctx = mp.get_context("fork")
-        with mctx.Pool(processes=workers, initializer=_par_init,
-                       initargs=(payload,)) as pool:
-            chunks = pool.map(_par_block, blocks)
-    recs = [r for rs, _ in chunks for r in rs]
-    fails = [f for _, fs in chunks for f in fs]
-    if workers > 1:
-        # rebind generators to the parent context (workers returned copies)
-        recs = [
-            SpinRecord(r.prime, FieldElement(ctx, r.generator.coords),
-                       r.spins, r.gen_mod8, r.gen_mod_M)
-            for r in recs
-        ]
-    recs.sort(key=lambda r: r.prime.sort_key)
-    fails.sort(key=lambda f: f.sort_key)
     return recs, fails
 
 

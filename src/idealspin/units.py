@@ -14,8 +14,7 @@ from math import log
 
 from .errors import NotTotallyPositive, SearchBoundExceeded, SignSystemSingular
 from .fields import FieldElement
-from .lattice import hnf_det
-from .roots import interval_eval, interval_mul
+from .roots import interval_eval
 
 
 # ---------------------------------------------------------------------------

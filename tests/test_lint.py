@@ -1,0 +1,87 @@
+"""Static checks of the library modules with the stdlib ``ast`` only:
+every loaded name is bound somewhere in its module (or is a builtin), and
+every imported name is used.  Scopes are not told apart, so a name bound in
+one function and loaded in another passes; the check still catches a name
+that was never imported at all.  ``__init__.py`` re-exports by import and is
+skipped.
+"""
+
+import ast
+import builtins
+from pathlib import Path
+
+import pytest
+
+SRC = Path(__file__).resolve().parent.parent / "src" / "idealspin"
+MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
+
+
+def _annotation_names(node) -> set[str]:
+    """Names inside string annotations such as ``"weakref.WeakKeyDictionary"``."""
+    names = set()
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Constant) and isinstance(sub.value, str):
+            try:
+                expr = ast.parse(sub.value, mode="eval")
+            except SyntaxError:
+                continue
+            names |= {n.id for n in ast.walk(expr) if isinstance(n, ast.Name)}
+    return names
+
+
+def _scan(path: Path):
+    """(bound names, loaded names, {imported name: line})."""
+    tree = ast.parse(path.read_text(), filename=str(path))
+    bound, loaded, imported = set(), set(), {}
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            for alias in node.names:
+                name = alias.asname or alias.name.split(".")[0]
+                bound.add(name)
+                imported.setdefault(name, node.lineno)
+        elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            bound.add(node.name)
+        elif isinstance(node, ast.arg):
+            bound.add(node.arg)
+            if node.annotation is not None:
+                loaded |= _annotation_names(node.annotation)
+        elif isinstance(node, ast.Name):
+            (loaded if isinstance(node.ctx, ast.Load) else bound).add(node.id)
+        elif isinstance(node, ast.ExceptHandler) and node.name:
+            bound.add(node.name)
+        elif isinstance(node, (ast.Global, ast.Nonlocal)):
+            bound.update(node.names)
+        elif isinstance(node, (ast.MatchAs, ast.MatchStar)) and node.name:
+            bound.add(node.name)
+        elif isinstance(node, ast.MatchMapping) and node.rest:
+            bound.add(node.rest)
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) and node.returns:
+            loaded |= _annotation_names(node.returns)
+        elif isinstance(node, ast.AnnAssign):
+            loaded |= _annotation_names(node.annotation)
+    return bound, loaded, imported
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_undefined_names(path):
+    bound, loaded, _ = _scan(path)
+    undefined = sorted(loaded - bound - set(dir(builtins)))
+    assert not undefined, f"{path.name}: names loaded but bound nowhere: {undefined}"
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_unused_imports(path):
+    _, loaded, imported = _scan(path)
+    unused = sorted((line, name) for name, line in imported.items() if name not in loaded)
+    assert not unused, f"{path.name}: unused imports (line, name): {unused}"
+
+
+def test_lint_flags_a_missing_import(tmp_path):
+    """The check itself: an undefined exception name and an unused import
+    are both reported."""
+    bad = tmp_path / "bad.py"
+    bad.write_text("from math import gcd\n\ndef f():\n"
+                   "    try:\n        return 1\n    except GeneratorNotFound:\n        return 0\n")
+    bound, loaded, imported = _scan(bad)
+    assert loaded - bound - set(dir(builtins)) == {"GeneratorNotFound"}
+    assert [n for n in imported if n not in loaded] == ["gcd"]
