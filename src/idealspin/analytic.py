@@ -11,6 +11,7 @@ import bisect
 from dataclasses import dataclass
 from math import gcd
 
+from .arith import iroot_ceil
 from .errors import CostGuard, HypothesisViolated
 from .ideals import (
     IdealFactorization,
@@ -339,7 +340,7 @@ def burgess_scan(ctx, q_max: int) -> dict:
         if chi.is_principal():
             continue  # impossible for non-squarefull norms; kept as a guard
         q = chi.modulus
-        N = _icbrt_ceil(q)
+        N = iroot_ceil(q, 3)
         max_abs, arg = char_sum_scan(chi, N)
         ratio = max_abs / (N ** (5.0 / 6.0) * q ** (7.0 / 144.0))
         rows.append({"q": q, "N": N, "max_abs": max_abs, "argmax_M": arg,
@@ -347,17 +348,3 @@ def burgess_scan(ctx, q_max: int) -> dict:
         if ratio > best[0]:
             best = (ratio, q)
     return {"max_ratio": best[0], "argmax_q": best[1], "rows": rows}
-
-
-def _icbrt(v: int) -> int:
-    r = round(v ** (1.0 / 3.0))
-    while r**3 > v:
-        r -= 1
-    while (r + 1) ** 3 <= v:
-        r += 1
-    return r
-
-
-def _icbrt_ceil(v: int) -> int:
-    r = _icbrt(v)
-    return r if r**3 == v else r + 1

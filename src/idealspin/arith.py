@@ -117,6 +117,18 @@ def jacobi(a: int, n: int) -> int:
     return t if n == 1 else 0
 
 
+def iroot_ceil(v: int, n: int) -> int:
+    """Smallest integer >= v^(1/n)."""
+    if v <= 1:
+        return v
+    r = int(round(v ** (1.0 / n)))
+    while r**n < v:
+        r += 1
+    while (r - 1) ** n >= v:
+        r -= 1
+    return r
+
+
 def legendre(a: int, p: int) -> int:
     """Legendre symbol via Euler's criterion; p an odd prime."""
     a %= p

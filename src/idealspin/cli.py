@@ -169,11 +169,7 @@ def _quad_block(block):
     lo, hi = block
     ctx, dom = _POOL_STATE["payload"]
     rows = []
-    seen = set()
     for rec in involution.quad_spin_records(ctx, dom, hi, lo=lo):
-        if rec.p in seen:
-            continue
-        seen.add(rec.p)
         rows.append((rec.p, rec.beta, rec.spin_direct, rec.spin_formula,
                      1 if rec.agree else 0))
     return rows

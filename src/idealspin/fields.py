@@ -22,6 +22,7 @@ from .errors import (
     NormMinusOneUnitAbsent,
     PrecisionExhausted,
 )
+from .lattice import det, gauss_jordan
 from .roots import (
     INITIAL_BITS,
     MAX_BITS,
@@ -57,7 +58,7 @@ def _qmul(a, b):
 def _qdivmod(a, b):
     a = [Fraction(c) for c in a]
     q = [Fraction(0)] * max(len(a) - len(b) + 1, 0)
-    while len(a) >= len(b) and _qtrim(a):
+    while _qtrim(a) and len(a) >= len(b):
         c = a[-1] / b[-1]
         off = len(a) - len(b)
         q[off] = c
@@ -69,7 +70,7 @@ def _qdivmod(a, b):
 
 
 def _sylvester_resultant(f: list[int], g: list[int]) -> int:
-    """Resultant of integer polynomials via Bareiss on the Sylvester matrix."""
+    """Resultant of integer polynomials: determinant of the Sylvester matrix."""
     n, m = len(f) - 1, len(g) - 1
     size = n + m
     mat = [[0] * size for _ in range(size)]
@@ -79,22 +80,7 @@ def _sylvester_resultant(f: list[int], g: list[int]) -> int:
     for i in range(n):
         for j, c in enumerate(reversed(g)):
             mat[m + i][i + j] = c
-    # fraction-free Gaussian elimination
-    sign = 1
-    prev = 1
-    for k in range(size - 1):
-        if mat[k][k] == 0:
-            piv = next((r for r in range(k + 1, size) if mat[r][k]), None)
-            if piv is None:
-                return 0
-            mat[k], mat[piv] = mat[piv], mat[k]
-            sign = -sign
-        for i in range(k + 1, size):
-            for j in range(k + 1, size):
-                mat[i][j] = (mat[i][j] * mat[k][k] - mat[i][k] * mat[k][j]) // prev
-            mat[i][k] = 0
-        prev = mat[k][k]
-    return sign * mat[size - 1][size - 1]
+    return det(mat)
 
 
 def poly_discriminant(coeffs: tuple[int, ...]) -> int:
@@ -356,7 +342,7 @@ class FieldContext:
                 for i in range(n):
                     nxt[i] += top * row[i]
             rows.append(nxt)
-        d = _det(rows)
+        d = det(rows)
         if isinstance(d, Fraction) and d.denominator == 1:
             return int(d)
         return d
@@ -436,38 +422,6 @@ class FieldContext:
 
     def __repr__(self):
         return f"FieldContext({self.family}, {self.param})"
-
-
-def _det(rows) -> int | Fraction:
-    n = len(rows)
-    if n == 1:
-        return rows[0][0]
-    if n == 2:
-        return rows[0][0] * rows[1][1] - rows[0][1] * rows[1][0]
-    if n == 3:
-        a, b, c = rows[0]
-        d, e, f = rows[1]
-        g, h, i = rows[2]
-        return a * (e * i - f * h) - b * (d * i - f * g) + c * (d * h - e * g)
-    # Bareiss, exact for ints; falls back to Fractions otherwise
-    m = [list(r) for r in rows]
-    exact_int = all(isinstance(x, int) for r in m for x in r)
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if m[k][k] == 0:
-            piv = next((r for r in range(k + 1, n) if m[r][k]), None)
-            if piv is None:
-                return 0
-            m[k], m[piv] = m[piv], m[k]
-            sign = -sign
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                num = m[i][j] * m[k][k] - m[i][k] * m[k][j]
-                m[i][j] = num // prev if exact_int else num / prev
-            m[i][k] = 0
-        prev = m[k][k]
-    return sign * m[n - 1][n - 1]
 
 
 # ---------------------------------------------------------------------------
@@ -638,98 +592,61 @@ def _certify_irreducible_quintic(poly) -> None:
 
 
 def _lehmer_sigma(poly) -> tuple:
-    """Find sigma(beta) by matching embeddings: try all 5-cycles of the
-    roots, reconstruct rational coordinates, verify exactly."""
+    """Find sigma(beta) by matching embeddings over all 5-cycles of the
+    roots (perm[k] = the root that sigma(beta) is at embedding k)."""
     from itertools import permutations
 
-    iso = RootIsolator(poly)
-    n = 5
-
-    def is_n_cycle(p):
+    def is_5_cycle(p):
         seen = {0}
         k = p[0]
         while k not in seen:
             seen.add(k)
             k = p[k]
-        return len(seen) == n
+        return len(seen) == 5
 
-    cycles = [p for p in permutations(range(n)) if is_n_cycle(p)]
-    for bits in _LEHMER_RECON_BITS:
-        ivs = iso.intervals(bits)
-        mids = [(lo + hi) / 2 for lo, hi in ivs]
+    iso = RootIsolator(poly)
+    cycles = [p for p in permutations(range(5)) if is_5_cycle(p)]
+    sigma = _match_embeddings(poly, iso.intervals, iso.intervals, poly, cycles,
+                             _LEHMER_RECON_BITS)
+    if sigma is None:
+        raise ArithmeticError("could not reconstruct the quintic Galois action")
+    return sigma
+
+
+def _match_embeddings(poly, roots, images, g, perms, bit_levels):
+    """The smallest y in Q[x]/(poly) with g(y) = 0 that takes the value of
+    the image root perm[k] at the k-th root of poly, over the given perms;
+    None if no precision level finds one.  roots(bits) and images(bits)
+    give the root enclosures of poly and g.
+
+    At each precision: midpoints of the enclosures, one Vandermonde solve
+    for every perm, rational reconstruction, then the exact check."""
+    n = len(poly) - 1
+    for bits in bit_levels:
+        mids = [(lo + hi) / 2 for lo, hi in roots(bits)]
+        tmids = [(lo + hi) / 2 for lo, hi in images(bits)]
         vand = [[mids[k] ** i for i in range(n)] for k in range(n)]
-        candidates = []
-        for perm in cycles:
-            # perm[k] = embedding index that sigma(beta) takes at embedding k
-            target = [mids[perm[k]] for k in range(n)]
-            sol = _solve_fraction_system(vand, target)
-            if sol is None:
-                continue
-            cand = tuple(_rationalize(x, bits) for x in sol)
-            if _is_poly_root(poly, cand):
-                candidates.append(cand)
-        if candidates:
-            return min(candidates)
-    raise ArithmeticError("could not reconstruct the quintic Galois action")
-
-
-def _solve_fraction_system(mat, rhs):
-    n = len(rhs)
-    a = [list(row) + [rhs[i]] for i, row in enumerate(mat)]
-    for c in range(n):
-        piv = next((r for r in range(c, n) if a[r][c] != 0), None)
-        if piv is None:
-            return None
-        a[c], a[piv] = a[piv], a[c]
-        inv = a[c][c]
-        a[c] = [x / inv for x in a[c]]
-        for r in range(n):
-            if r != c and a[r][c] != 0:
-                fac = a[r][c]
-                a[r] = [x - fac * y for x, y in zip(a[r], a[c])]
-    return [a[r][n] for r in range(n)]
+        sols = gauss_jordan(vand, [[tmids[perm[k]] for perm in perms] for k in range(n)])
+        cands = (tuple(_rationalize(x, bits) for x in col) for col in zip(*sols))
+        found = [y for y in cands if _is_root_mod(poly, g, y)]
+        if found:
+            return min(found)
+    return None
 
 
 def _rationalize(x: Fraction, bits: int) -> Fraction:
     return Fraction(x).limit_denominator(2 ** (bits // 4))
 
 
-def _is_poly_root(poly, coords) -> bool:
-    n = len(poly) - 1
-    # evaluate poly at the element with given coords, mod poly, over Q
-    red = {}
-    cur = [Fraction(-c) for c in poly[:-1]]
-    red[n] = list(cur)
-    for dd in range(n + 1, 2 * n - 1):
-        nxt = [Fraction(0)] + cur[:-1]
-        top = cur[-1]
-        if top:
-            for i in range(n):
-                nxt[i] -= top * poly[i]
-        cur = nxt
-        red[dd] = list(cur)
-
-    def mul(a, b):
-        prod = [Fraction(0)] * (2 * n - 1)
-        for i, ai in enumerate(a):
-            if ai:
-                for j, bj in enumerate(b):
-                    prod[i + j] += ai * bj
-        out = prod[:n]
-        for dd in range(n, 2 * n - 1):
-            cc = prod[dd]
-            if cc:
-                for i in range(n):
-                    out[i] += cc * red[dd][i]
-        return out
-
-    acc = [Fraction(poly[0])] + [Fraction(0)] * (n - 1)
-    ypow = [Fraction(1)] + [Fraction(0)] * (n - 1)
-    base = [Fraction(c) for c in coords]
-    for c in poly[1:]:
-        ypow = mul(ypow, base)
-        acc = [a + c * y for a, y in zip(acc, ypow)]
-    return all(v == 0 for v in acc)
+def _is_root_mod(poly, g, y) -> bool:
+    """Is g(y) = 0 for y given by its coordinates in Q[x]/(poly)?  Exact
+    Horner evaluation, reduced mod poly after every step."""
+    acc = []
+    for c in reversed(g):
+        acc = _qmul(acc, y) or [Fraction(0)]
+        acc[0] += c
+        acc = _qdivmod(acc, poly)[1]
+    return not any(acc)
 
 
 def _lehmer_context(m: int, h: int) -> FieldContext:
@@ -792,33 +709,11 @@ def find_root_in_field(ctx, coeffs: tuple[int, ...]):
         other = RootIsolator(tuple(coeffs))
     except ValueError:
         return None  # repeated or complex roots: not this splitting field
-    for bits in (192, 384, 768, 1536):
-        ivs = ctx.embedding_intervals(bits)
-        mids = [(lo + hi) / 2 for lo, hi in ivs]
-        tivs = other.intervals(bits)
-        tmids = [(lo + hi) / 2 for lo, hi in tivs]
-        vand = [[mids[k] ** i for i in range(n)] for k in range(n)]
-        found = []
-        for perm in permutations(range(n)):
-            target = [tmids[perm[k]] for k in range(n)]
-            sol = _solve_fraction_system(vand, target)
-            if sol is None:
-                continue
-            cand = tuple(_rationalize(x, bits) for x in sol)
-            y = FieldElement(ctx, cand)
-            ypow = ctx.one
-            acc = ctx.coerce(coeffs[0])
-            for c in coeffs[1:]:
-                ypow = ypow * y
-                acc = acc + ypow * c
-            if acc.is_zero():
-                found.append(cand)
-        if found:
-            coordsbest = min(found)
-            cb = tuple(int(c) if isinstance(c, Fraction) and c.denominator == 1 else c
-                       for c in coordsbest)
-            return FieldElement(ctx, cb)
-    return None
+    y = _match_embeddings(ctx.poly, ctx.embedding_intervals, other.intervals, coeffs,
+                          list(permutations(range(n))), (192, 384, 768, 1536))
+    if y is None:
+        return None
+    return FieldElement(ctx, (int(c) if c.denominator == 1 else c for c in y))
 
 
 def construct_field(family: str, param: int, class_number_assumption: int = 1) -> FieldContext:
@@ -837,15 +732,7 @@ def apply_automorphism(e: FieldElement, k: int) -> FieldElement:
     ctx = e.ctx
     if not 0 <= k < ctx.degree:
         raise ValueError("automorphism index out of range")
-    rows = ctx.automorphisms[k]
-    out = [0] * ctx.degree
-    for j, cj in enumerate(e.coords):
-        if cj:
-            row = rows[j]
-            for i in range(ctx.degree):
-                out[i] += cj * row[i]
-    out = [int(x) if isinstance(x, Fraction) and x.denominator == 1 else x for x in out]
-    return FieldElement(ctx, tuple(out))
+    return FieldElement(ctx, ctx._apply_rows(ctx.automorphisms[k], e.coords))
 
 
 def norm(e: FieldElement):

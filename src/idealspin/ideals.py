@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, isqrt
 
-from .arith import factorint, poly_roots_modp, sieve_primes
+from .arith import factorint, iroot_ceil, poly_roots_modp, sieve_primes
 from .errors import GeneratorNotFound
 from .lattice import hnf_contains, hnf_det, lattice_product, lll_reduce, short_vectors
 from .logcomb import LogCombination
@@ -281,7 +281,7 @@ def find_generator(ctx, ideal: IdealFactorization, kappa_start: int = 4, kappa_m
     rows = ideal_lattice(ctx, ideal)
     red = lll_reduce(ctx, rows)
     # Minkowski-flavored bound: Q(g) ~ n * norm^(2/n) for a balanced generator
-    base = n * _iroot_ceil(target**2, n)
+    base = n * iroot_ceil(target**2, n)
     kappa = kappa_start
     while kappa <= kappa_max:
         for vec in short_vectors(ctx, red, kappa * base):
@@ -289,18 +289,6 @@ def find_generator(ctx, ideal: IdealFactorization, kappa_start: int = 4, kappa_m
                 return ctx.element(vec)
         kappa *= 2
     raise GeneratorNotFound(f"no generator of {ideal!r} within bound {kappa_max}")
-
-
-def _iroot_ceil(v: int, n: int) -> int:
-    """Smallest integer >= v^(1/n)."""
-    if v <= 1:
-        return v
-    r = int(round(v ** (1.0 / n)))
-    while r**n < v:
-        r += 1
-    while (r - 1) ** n >= v:
-        r -= 1
-    return r
 
 
 def factor_element(ctx, element) -> IdealFactorization:

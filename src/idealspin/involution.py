@@ -156,13 +156,16 @@ def eq_10_11_sum(ctx) -> int:
 
 
 def quad_spin_records(ctx, dom: FundamentalDomain, X: int, lo: int = 1):
-    """QuadSpinRecords for qualifying primes with lo <= norm <= X: odd,
-    split, admitting a totally positive generator = 1 mod 8.  One record per
-    prime ideal; conjugate primes carry identical values."""
+    """QuadSpinRecords for qualifying rational primes lo <= p <= X: odd,
+    split, with a totally positive generator = 1 mod 8 of the prime at
+    position 0.  One record per rational prime: the canonical generators of
+    P and its conjugate differ by a totally positive unit eps^(2k), and
+    sigma(eps^2) = eps^-2 while sigma fixes the class 1 mod 8, so both
+    primes qualify alike and carry the same spin."""
     _require_quadratic(ctx)
     for prime in prime_ideals_in_norm_range(ctx, lo, X, degree_one_only=True):
         p = prime.p
-        if p == 2 or prime.e > 1:
+        if p == 2 or prime.e > 1 or prime.position != 0:
             continue
         pi = qualifying_generator(ctx, dom, prime)
         if pi is None:
@@ -174,8 +177,8 @@ def quad_spin_records(ctx, dom: FundamentalDomain, X: int, lo: int = 1):
 
 
 def involution_spin_sum(ctx, dom: FundamentalDomain, X: int) -> dict:
-    """Sum and count of involution spins over qualifying primes of norm <= X,
-    plus the exact vanishing of the full residue sum."""
+    """Sum and count of involution spins over qualifying rational primes
+    p <= X (one per p), plus the exact vanishing of the full residue sum."""
     total = 0
     count = 0
     disagreements = 0

@@ -1,13 +1,113 @@
-"""Integer lattices inside the coordinate space of a field order.
+"""Linear algebra for the library, and integer lattices inside the
+coordinate space of a field order.
 
-Provides Hermite normal form bases (for ideal arithmetic and membership
-tests), exact LLL reduction with respect to the trace quadratic form
-Q(v) = sum of squared real embeddings = Trace(v^2)-form, and bounded
-short-vector enumeration.  Everything is exact; floats appear only as
-search guides and every emitted vector is re-checked exactly.
+This is the one home of the matrix kernels: exact determinants (Bareiss),
+Gauss-Jordan solves, elimination over F2, and Hermite normal form bases
+(for ideal arithmetic and membership tests).  On top of them sit exact LLL
+reduction with respect to the trace quadratic form Q(v) = sum of squared
+real embeddings = Trace(v^2)-form, and bounded short-vector enumeration.
+Everything in the lattice code is exact; floats appear only as search
+guides and every emitted vector is re-checked exactly.
 """
 
 from fractions import Fraction
+
+
+def det(rows):
+    """Exact determinant of a square matrix of ints or Fractions: closed
+    forms up to 3x3, fraction-free Bareiss elimination beyond."""
+    n = len(rows)
+    if n == 1:
+        return rows[0][0]
+    if n == 2:
+        return rows[0][0] * rows[1][1] - rows[0][1] * rows[1][0]
+    if n == 3:
+        a, b, c = rows[0]
+        d, e, f = rows[1]
+        g, h, i = rows[2]
+        return a * (e * i - f * h) - b * (d * i - f * g) + c * (d * h - e * g)
+    # every division is exact: floor division for ints, Fractions otherwise
+    m = [list(r) for r in rows]
+    exact_int = all(isinstance(x, int) for r in m for x in r)
+    sign = 1
+    prev = 1
+    for k in range(n - 1):
+        if m[k][k] == 0:
+            piv = next((r for r in range(k + 1, n) if m[r][k]), None)
+            if piv is None:
+                return 0
+            m[k], m[piv] = m[piv], m[k]
+            sign = -sign
+        for i in range(k + 1, n):
+            for j in range(k + 1, n):
+                num = m[i][j] * m[k][k] - m[i][k] * m[k][j]
+                m[i][j] = num // prev if exact_int else num / prev
+            m[i][k] = 0
+        prev = m[k][k]
+    return sign * m[n - 1][n - 1]
+
+
+def gauss_jordan(mat, rhs, tol=0):
+    """Solve mat * X = rhs for a square mat, rhs given as one row of
+    right-hand sides per equation; returns the rows of X.
+
+    The pivot of each column is its entry of largest absolute value, so
+    float systems stay stable and exact (Fraction) systems get the exact
+    solution.  Returns None when a pivot is zero or below tol."""
+    n = len(mat)
+    a = [list(row) + list(extra) for row, extra in zip(mat, rhs)]
+    for c in range(n):
+        piv = max(range(c, n), key=lambda r: abs(a[r][c]))
+        if a[piv][c] == 0 or abs(a[piv][c]) < tol:
+            return None
+        a[c], a[piv] = a[piv], a[c]
+        d = a[c][c]
+        a[c] = [x / d for x in a[c]]
+        for r in range(n):
+            if r != c and a[r][c]:
+                f = a[r][c]
+                a[r] = [x - f * y for x, y in zip(a[r], a[c])]
+    return [row[n:] for row in a]
+
+
+def f2_echelon(rows):
+    """Reduced row echelon form over F2 of 0/1 rows of equal length.
+
+    Returns (m, pivots) with m the number of input rows and one entry
+    (pivot column, echelon row, combination) per pivot, where the
+    combination marks the input rows whose sum is the echelon row; the rank
+    is len(pivots)."""
+    m = len(rows)
+    n = len(rows[0]) if rows else 0
+    aug = [list(rows[i]) + [1 if j == i else 0 for j in range(m)] for i in range(m)]
+    pivots = []
+    r = 0
+    for c in range(n):
+        piv = next((i for i in range(r, m) if aug[i][c] & 1), None)
+        if piv is None:
+            continue
+        aug[r], aug[piv] = aug[piv], aug[r]
+        for i in range(m):
+            if i != r and aug[i][c] & 1:
+                aug[i] = [(a + b) & 1 for a, b in zip(aug[i], aug[r])]
+        pivots.append((r, c))
+        r += 1
+    return m, [(c, aug[i][:n], aug[i][n:]) for i, c in pivots]
+
+
+def f2_solve(echelon, target):
+    """x with sum of x_i * row_i = target over F2, from f2_echelon(rows);
+    None when target is not in the span of the rows."""
+    m, pivots = echelon
+    x = [0] * m
+    t = list(target)
+    for col, row, comb in pivots:
+        if t[col] & 1:
+            t = [(a + b) & 1 for a, b in zip(t, row)]
+            x = [(a + b) & 1 for a, b in zip(x, comb)]
+    if any(t):
+        return None
+    return tuple(x)
 
 
 def hnf(vectors, n: int):
@@ -70,15 +170,16 @@ def lattice_product(ctx, rows_a, rows_b):
     return hnf(prods, ctx.degree)
 
 
+def _trace_dot(T, u, v):
+    """T(uv) for coordinate vectors u, v, with T the trace-form matrix."""
+    n = len(T)
+    return sum(u[i] * T[i][j] * v[j] for i in range(n) for j in range(n))
+
+
 def gram(ctx, rows):
     """Gram matrix of the rows under the trace form T(xy)."""
     T = ctx.trace_form
-    n = ctx.degree
-
-    def dot(u, v):
-        return sum(u[i] * T[i][j] * v[j] for i in range(n) for j in range(n))
-
-    return [[dot(u, v) for v in rows] for u in rows]
+    return [[_trace_dot(T, u, v) for v in rows] for u in rows]
 
 
 def _gso_from_gram(G):
@@ -103,15 +204,6 @@ def lll_reduce(ctx, rows):
     """Exact LLL (delta = 3/4) of a full-rank basis under the trace form."""
     b = [list(r) for r in rows]
     n = len(b)
-    T = ctx.trace_form
-    dim = ctx.degree
-
-    def dot(u, v):
-        return sum(u[i] * T[i][j] * v[j] for i in range(dim) for j in range(dim))
-
-    def full_gram():
-        return [[dot(u, v) for v in b] for u in b]
-
     delta = Fraction(3, 4)
     k = 1
     guard = 0
@@ -119,12 +211,12 @@ def lll_reduce(ctx, rows):
         guard += 1
         if guard > 10000:
             raise ArithmeticError("LLL failed to terminate")  # pragma: no cover
-        mu, B = _gso_from_gram(full_gram())
+        mu, B = _gso_from_gram(gram(ctx, b))
         for j in range(k - 1, -1, -1):
             q = round(mu[k][j])
             if q:
                 b[k] = [a - q * c for a, c in zip(b[k], b[j])]
-                mu, B = _gso_from_gram(full_gram())
+                mu, B = _gso_from_gram(gram(ctx, b))
         if B[k] >= (delta - mu[k][k - 1] ** 2) * B[k - 1]:
             k += 1
         else:
@@ -146,11 +238,6 @@ def short_vectors(ctx, basis, bound):
     out = []
     x = [0] * n
 
-    def dot_exact(u, v):
-        T = ctx.trace_form
-        dim = ctx.degree
-        return sum(u[i] * T[i][j] * v[j] for i in range(dim) for j in range(dim))
-
     def recurse(i, rem, center_shift):
         # rem: remaining float budget; center_shift[j] = sum_{l>i} x_l mu[l][j]
         if i < 0:
@@ -161,7 +248,7 @@ def short_vectors(ctx, basis, bound):
                 if x[j]:
                     for t in range(ctx.degree):
                         vec[t] += x[j] * basis[j][t]
-            if dot_exact(vec, vec) <= bound:
+            if _trace_dot(ctx.trace_form, vec, vec) <= bound:
                 # canonical sign: first nonzero coordinate positive
                 for v in vec:
                     if v:

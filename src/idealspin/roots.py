@@ -127,10 +127,6 @@ class RootIsolator:
         return len(self.coeffs) - 1
 
 
-def interval_add(a, b):
-    return (a[0] + b[0], a[1] + b[1])
-
-
 def interval_mul(a, b):
     prods = (a[0] * b[0], a[0] * b[1], a[1] * b[0], a[1] * b[1])
     return (min(prods), max(prods))

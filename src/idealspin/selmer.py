@@ -9,6 +9,7 @@ computation.
 """
 
 from dataclasses import dataclass
+from math import isqrt
 
 from .arith import factorint, sieve_primes
 from .errors import GeneratorNotFound, HypothesisViolated
@@ -49,10 +50,7 @@ def _verify_field_link(ctx, cubic) -> FieldElement:
         if sum(c * r**i for i, c in enumerate(cubic)) == 0:
             raise ValueError("two-division cubic is reducible")
     disc = poly_discriminant(cubic)
-    s = 1
-    while s * s < disc:
-        s += 1
-    if s * s != disc:
+    if disc < 1 or isqrt(disc) ** 2 != disc:
         raise ValueError("two-division cubic discriminant is not a square")
     root = find_root_in_field(ctx, cubic)
     if root is None:

@@ -24,6 +24,7 @@ from .ideals import (
     prime_ideals_in_norm_range,
     prime_power_ideal,
 )
+from .lattice import det
 from .symbols import mu_and_mu2, residue_symbol
 from .units import FundamentalDomain, canonical_generator, unit_square_image
 
@@ -61,7 +62,7 @@ def spin(ctx, dom: FundamentalDomain, ideal, k: int) -> int:
 
 
 def invert_mod(ctx, coords, modulus: int) -> tuple[int, ...]:
-    """Inverse of an element in O/(modulus), via the adjugate of its
+    """Inverse of an element in O/(modulus), by Cramer's rule on its
     multiplication matrix; requires gcd(N(element), modulus) = 1."""
     n = ctx.degree
     # multiplication matrix M[i][j] = (g * alpha^j)_i mod modulus
@@ -70,41 +71,13 @@ def invert_mod(ctx, coords, modulus: int) -> tuple[int, ...]:
     for b in basis:
         cols.append([int(c) % modulus for c in ctx.mul_coords(coords, b)])
     M = [[cols[j][i] % modulus for j in range(n)] for i in range(n)]
-    det, adj = _det_adjugate(M)
-    dinv = pow(det % modulus, -1, modulus)
-    # inverse coords = adj * e0 * det^{-1}
-    return tuple(adj[i][0] * dinv % modulus for i in range(n))
-
-
-def _det_adjugate(M):
-    n = len(M)
-    if n == 1:
-        return M[0][0], [[1]]
-    if n == 2:
-        det = M[0][0] * M[1][1] - M[0][1] * M[1][0]
-        return det, [[M[1][1], -M[0][1]], [-M[1][0], M[0][0]]]
-
-    def minor(i, j):
-        sub = [[M[r][c] for c in range(n) if c != j] for r in range(n) if r != i]
-        return _det_plain(sub)
-
-    cof = [[(-1) ** (i + j) * minor(i, j) for j in range(n)] for i in range(n)]
-    det = sum(M[0][j] * cof[0][j] for j in range(n))
-    adj = [[cof[j][i] for j in range(n)] for i in range(n)]
-    return det, adj
-
-
-def _det_plain(M):
-    n = len(M)
-    if n == 1:
-        return M[0][0]
-    if n == 2:
-        return M[0][0] * M[1][1] - M[0][1] * M[1][0]
-    tot = 0
-    for j in range(n):
-        sub = [row[:j] + row[j + 1 :] for row in M[1:]]
-        tot += (-1) ** j * M[0][j] * _det_plain(sub)
-    return tot
+    dinv = pow(det(M) % modulus, -1, modulus)
+    # the inverse solves M x = e0: x_i = det(M with column i set to e0) / det(M)
+    return tuple(
+        det([row[:i] + [1 if r == 0 else 0] + row[i + 1:] for r, row in enumerate(M)])
+        * dinv % modulus
+        for i in range(n)
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -8,12 +8,14 @@ suffice to decide this.  All comparisons are exact integer comparisons of
 trace bilinear forms.
 """
 
+import weakref
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import log
 
 from .errors import NotTotallyPositive, SearchBoundExceeded, SignSystemSingular
 from .fields import FieldElement
+from .lattice import f2_echelon, f2_solve, gauss_jordan
 from .roots import interval_eval
 
 
@@ -21,38 +23,21 @@ from .roots import interval_eval
 # sign-space linear algebra over F2
 
 
-def _solve_f2(rows: list[tuple[int, ...]], target: tuple[int, ...]):
-    """Solve x^T * rows = target over F2; returns x or None."""
-    m, n = len(rows), len(target)
-    aug = [list(rows[i]) + [1 if j == i else 0 for j in range(m)] for i in range(m)]
-    # eliminate to row echelon over F2, tracking combinations
-    pivots = []
-    r = 0
-    for c in range(n):
-        piv = next((i for i in range(r, m) if aug[i][c] & 1), None)
-        if piv is None:
-            continue
-        aug[r], aug[piv] = aug[piv], aug[r]
-        for i in range(m):
-            if i != r and aug[i][c] & 1:
-                aug[i] = [(a + b) & 1 for a, b in zip(aug[i], aug[r])]
-        pivots.append((r, c))
-        r += 1
-    x = [0] * m
-    t = list(target)
-    for row, col in pivots:
-        if t[col] & 1:
-            for j in range(n):
-                t[j] = (t[j] + aug[row][j]) & 1
-            for j in range(m):
-                x[j] = (x[j] + aug[row][n + j]) & 1
-    if any(t):
-        return None
-    return tuple(x)
-
-
 def sign_to_f2(signs: tuple[int, ...]) -> tuple[int, ...]:
     return tuple(1 if s < 0 else 0 for s in signs)
+
+
+_sign_caches: "weakref.WeakKeyDictionary" = weakref.WeakKeyDictionary()
+
+
+def _unit_signs(ctx):
+    """Sign vectors of the unit generators and the F2 echelon of their sign
+    rows, computed on first use for each context."""
+    got = _sign_caches.get(ctx)
+    if got is None:
+        signs = tuple(ctx.sign_vector(u) for u in ctx.unit_generators)
+        got = _sign_caches[ctx] = (signs, f2_echelon([sign_to_f2(s) for s in signs]))
+    return got
 
 
 @dataclass(frozen=True)
@@ -63,9 +48,8 @@ class UnitGroupData:
 
 
 def unit_group_data(ctx) -> UnitGroupData:
-    gens = ctx.unit_generators
-    signs = tuple(sign_to_f2(ctx.sign_vector(u)) for u in gens)
-    return UnitGroupData(gens, signs, unit_square_image(ctx, 8))
+    signs = tuple(sign_to_f2(s) for s in _unit_signs(ctx)[0])
+    return UnitGroupData(ctx.unit_generators, signs, unit_square_image(ctx, 8))
 
 
 def unit_square_image(ctx, modulus: int) -> frozenset:
@@ -96,8 +80,7 @@ def make_totally_positive(ctx, e: FieldElement) -> FieldElement:
     target = sign_to_f2(ctx.sign_vector(e))
     if not any(target):
         return e
-    rows = [sign_to_f2(ctx.sign_vector(u)) for u in ctx.unit_generators]
-    x = _solve_f2(rows, target)
+    x = f2_solve(_unit_signs(ctx)[1], target)
     if x is None:
         raise SignSystemSingular("unit sign vectors do not span the sign space")
     out = e
@@ -111,30 +94,12 @@ def verify_unit_plus_square(ctx) -> dict:
     """Check the hypotheses making every totally positive unit a square:
     a mixed-sign generator plus a surjective sign map on <-1, generators>."""
     n = ctx.degree
-    mixed = False
-    rows = []
-    for u in ctx.unit_generators:
-        sv = ctx.sign_vector(u)
-        rows.append(sign_to_f2(sv))
-        if 1 in sv and -1 in sv:
-            mixed = True
-    # rank over F2
-    mat = [list(r) for r in rows]
-    rank = 0
-    for c in range(n):
-        piv = next((i for i in range(rank, len(mat)) if mat[i][c] & 1), None)
-        if piv is None:
-            continue
-        mat[rank], mat[piv] = mat[piv], mat[rank]
-        for i in range(len(mat)):
-            if i != rank and mat[i][c] & 1:
-                mat[i] = [(a + b) & 1 for a, b in zip(mat[i], mat[rank])]
-        rank += 1
+    signs, (_, pivots) = _unit_signs(ctx)
     two_primitive = n in (3, 5)  # 2 is a primitive root mod 3 and mod 5
     report = {
         "degree_odd_prime_with_2_primitive_root": two_primitive,
-        "mixed_sign_generator": mixed,
-        "sign_map_surjective": rank == n,
+        "mixed_sign_generator": any(1 in sv and -1 in sv for sv in signs),
+        "sign_map_surjective": len(pivots) == n,
     }
     report["passed"] = all(report.values())
     return report
@@ -166,23 +131,6 @@ def _abs_log_embeddings(ctx, e, bits=96):
     return vals
 
 
-def _solve_real(mat, rhs):
-    n = len(rhs)
-    a = [list(row) + [rhs[i]] for i, row in enumerate(mat)]
-    for c in range(n):
-        piv = max(range(c, n), key=lambda r: abs(a[r][c]))
-        if abs(a[piv][c]) < 1e-14:
-            raise ArithmeticError("singular log-embedding matrix")
-        a[c], a[piv] = a[piv], a[c]
-        d = a[c][c]
-        a[c] = [x / d for x in a[c]]
-        for r in range(n):
-            if r != c and a[r][c]:
-                f = a[r][c]
-                a[r] = [x - f * y for x, y in zip(a[r], a[c])]
-    return [a[r][n] for r in range(n)]
-
-
 def _count_small_embeddings(ctx, u) -> int:
     """Number of embeddings with u <= 1/2, decided exactly."""
     one_minus = ctx.coerce(1) - u * 2
@@ -204,7 +152,10 @@ def find_contracting_unit(ctx, max_scale: int = 40) -> FieldElement:
     gens = gens[:r]
     logs = [_abs_log_embeddings(ctx, g) for g in gens]
     mat = [[logs[i][k] for i in range(r)] for k in range(r)]
-    base = _solve_real(mat, [-1.0] * r)
+    sol = gauss_jordan(mat, [[-1.0]] * r, tol=1e-14)
+    if sol is None:
+        raise ArithmeticError("singular log-embedding matrix")
+    base = [row[0] for row in sol]
 
     candidates: list[tuple[int, ...]] = []
     seen = set()
@@ -318,7 +269,7 @@ def _enumerate_small_units(ctx, C: Fraction, enlarge: int = 0):
     # first r coordinates to bound the box (floats + slack; the enlargement
     # test in the suite guards completeness)
     mat = [[2 * logs[i][k] for i in range(r)] for k in range(r)]
-    inv = _mat_inv_float(mat)
+    inv = gauss_jordan(mat, _float_identity(r))
     bounds = []
     for i in range(r):
         bi = sum(abs(inv[i][k]) for k in range(r)) * (r * logC)
@@ -345,19 +296,8 @@ def _enumerate_small_units(ctx, C: Fraction, enlarge: int = 0):
     return sorted(uniq.values(), key=lambda u: u.coords)
 
 
-def _mat_inv_float(mat):
-    n = len(mat)
-    a = [list(row) + [1.0 if j == i else 0.0 for j in range(n)] for i, row in enumerate(mat)]
-    for c in range(n):
-        piv = max(range(c, n), key=lambda rr: abs(a[rr][c]))
-        a[c], a[piv] = a[piv], a[c]
-        d = a[c][c]
-        a[c] = [x / d for x in a[c]]
-        for rr in range(n):
-            if rr != c and a[rr][c]:
-                f = a[rr][c]
-                a[rr] = [x - f * y for x, y in zip(a[rr], a[c])]
-    return [row[n:] for row in a]
+def _float_identity(n):
+    return [[1.0 if j == i else 0.0 for j in range(n)] for i in range(n)]
 
 
 # ---------------------------------------------------------------------------
@@ -451,7 +391,7 @@ def domain_elements(dom: FundamentalDomain, X: int) -> list[tuple[int, ...]]:
     mids = [float(lo + hi) / 2 for lo, hi in ivs]
     # coordinate box: a = V^{-1} y with 0 < y_k <= Ymax
     V = [[mids[k] ** i for i in range(n)] for k in range(n)]
-    Vinv = _mat_inv_float(V)
+    Vinv = gauss_jordan(V, _float_identity(n))
     Yf = float(Ymax)
     bounds = [int(sum(abs(Vinv[i][k]) for k in range(n)) * Yf * 1.05) + 2 for i in range(n)]
     rows_delta = [tuple(w - t for w, t in zip(row, dom.identity_row)) for row in dom.trace_rows]
@@ -537,11 +477,6 @@ def domain_elements(dom: FundamentalDomain, X: int) -> list[tuple[int, ...]]:
     out.sort()
     dom._census[X] = out
     return out
-
-
-def _iroot_upper(v: int, n: int) -> Fraction:
-    r = Fraction(int(v ** (1.0 / n) * 1.001) + 1)
-    return r
 
 
 def domain_class_counts(dom: FundamentalDomain, X: int, ideal) -> dict:

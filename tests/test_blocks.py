@@ -61,7 +61,9 @@ def test_norm_blocks_partition_the_range(monkeypatch):
     (("selmer-scan", "--max-p", "1500"), "idealspin.selmer", "spin_record"),
 ], ids=lambda a: a[0] if isinstance(a, tuple) else None)
 def test_each_block_scans_only_its_own_primes(monkeypatch, argv, module, name):
-    """With many small blocks every prime ideal is still handled once."""
+    """With many small blocks every prime ideal is still handled once.
+    quad-spins searches only one prime above each rational p (both qualify
+    alike); the Selmer scan checks every prime above p."""
     mod = sys.modules[module]
     real = getattr(mod, name)
     calls = Counter()
@@ -74,6 +76,8 @@ def test_each_block_scans_only_its_own_primes(monkeypatch, argv, module, name):
     monkeypatch.setattr(cli, "PRIMES_PER_BLOCK", 20)
     assert run_cli(*argv, "--workers", "1")[0] == 0
     assert calls and max(calls.values()) == 1
+    if argv[0] == "quad-spins":
+        assert len({prime.p for prime in calls}) == len(calls)
 
 
 @pytest.mark.parametrize("lo,hi", [(1, 1), (1, 2), (8, 8), (9, 12), (1000, 5000),

@@ -22,6 +22,30 @@ def test_field_info_json():
     assert info["maximal_order_verified"] is True
 
 
+def test_field_info_lehmer_golden():
+    code, out, _ = run_cli("field-info", "--field", "lehmer:-1")
+    assert code == 0
+    assert json.loads(out) == {
+        "family": "lehmer_quintic", "param": -1, "degree": 5,
+        "defining_poly": [1, 3, -3, -4, 1, 1], "disc": 14641,
+        "unit_signs": [[-1, -1, -1, -1, -1], [1, 1, -1, -1, -1], [1, -1, -1, -1, 1],
+                       [-1, -1, 1, -1, 1], [-1, -1, 1, 1, -1]],
+        "maximal_order_verified": False, "class_number_assumption": 1,
+    }
+
+
+@pytest.mark.parametrize("field,C,unit", [
+    ("shanks:1", "532794968706246475666241746863320643079948357868859199840861/"
+                 "17445531477883141773759232845045958741775849993702889898205", [-2, -3, 4]),
+    ("quad:5", "177159557114295710296101716161/48965697300015686351278882912", [2, -1]),
+])
+def test_domain_info_golden(field, C, unit):
+    code, out, _ = run_cli("domain-info", "--field", field)
+    assert code == 0
+    info = json.loads(out)
+    assert info["C"] == C and info["contracting_unit"] == unit
+
+
 def test_primes_csv_header():
     code, out, _ = run_cli("primes", "--max-norm", "13")
     lines = out.strip().splitlines()

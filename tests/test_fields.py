@@ -10,6 +10,7 @@ from idealspin.fields import (
     find_root_in_field,
     poly_discriminant,
 )
+from idealspin.lattice import det, gauss_jordan
 from idealspin.roots import MAX_BITS, RootIsolator, interval_eval, interval_mul
 
 
@@ -179,3 +180,48 @@ def test_element_inverse(shanks1):
         if e.is_zero():
             continue
         assert (e * e.inverse()) == shanks1.one
+
+
+def _cofactor_det(m):
+    if len(m) == 1:
+        return m[0][0]
+    return sum((-1) ** j * m[0][j] * _cofactor_det([row[:j] + row[j + 1:] for row in m[1:]])
+               for j in range(len(m)))
+
+
+def test_det_matches_cofactor_expansion():
+    rng = random.Random(11)
+    for n in range(1, 7):
+        for trial in range(8):
+            ints = [[rng.randint(-9, 9) for _ in range(n)] for _ in range(n)]
+            if trial == 0:
+                ints[0][0] = 0  # Bareiss (n >= 4) must swap in a later row
+            fracs = [[Fraction(rng.randint(-9, 9), rng.randint(1, 5)) for _ in range(n)]
+                     for _ in range(n)]
+            assert det(ints) == _cofactor_det(ints)
+            assert isinstance(det(ints), int)
+            assert det(fracs) == _cofactor_det(fracs)
+    singular = [[0, 1, 2, 3], [0, 4, 5, 6], [0, 7, 8, 9], [0, 1, 1, 1]]
+    assert det(singular) == 0
+
+
+def test_gauss_jordan_exact_solution():
+    rng = random.Random(12)
+    solved = 0
+    for n in range(1, 6):
+        for _ in range(6):
+            mat = [[Fraction(rng.randint(-9, 9), rng.randint(1, 4)) for _ in range(n)]
+                   for _ in range(n)]
+            rhs = [[Fraction(rng.randint(-9, 9), rng.randint(1, 4)) for _ in range(3)]
+                   for _ in range(n)]
+            sol = gauss_jordan(mat, rhs)
+            if det(mat) == 0:
+                assert sol is None
+                continue
+            solved += 1
+            for i in range(n):
+                for c in range(3):
+                    assert sum(mat[i][k] * sol[k][c] for k in range(n)) == rhs[i][c]
+    assert solved > 20
+    assert gauss_jordan([[1, 2], [2, 4]], [[1], [2]]) is None
+    assert gauss_jordan([[1e-15]], [[1.0]], tol=1e-14) is None

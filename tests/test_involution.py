@@ -126,15 +126,20 @@ def test_involution_sum_trivial(quad5, dom5):
 
 
 def test_conjugate_prime_same_spin(quad5, dom5):
-    # beta itself depends on which qualifying generator the orbit walk
-    # found; only the spin (its symbol against d) is a prime invariant
-    by_p = {}
-    for rec in quad_spin_records(quad5, dom5, 3000):
-        by_p.setdefault(rec.p, []).append(rec)
-    pairs = 0
-    for p, recs in by_p.items():
-        if len(recs) == 2:
-            assert recs[0].spin_direct == recs[1].spin_direct
-            assert recs[0].spin_formula == recs[1].spin_formula
-            pairs += 1
-    assert pairs > 0
+    # the stream keeps the prime at position 0; its conjugate must qualify
+    # alike.  beta itself depends on which qualifying generator the orbit
+    # walk found; only the spin (its symbol against d) is a prime invariant
+    records = {rec.p: rec for rec in quad_spin_records(quad5, dom5, 3000)}
+    for p in sieve_primes(3000):
+        if p in (2, 5) or legendre(5, p) != 1:
+            continue
+        first, conj = split_prime(quad5, p)
+        pi = qualifying_generator(quad5, dom5, conj)
+        assert (pi is None) == (p not in records)
+        if pi is None:
+            continue
+        rec = records[p]
+        assert rec.prime == first
+        assert spin_involution_formula(quad5, pi) == rec.spin_formula
+        assert spin_involution_direct(quad5, dom5, conj) == rec.spin_direct
+    assert len(records) > 10

@@ -1,9 +1,10 @@
 """Static checks of the library modules with the stdlib ``ast`` only:
-every loaded name is bound somewhere in its module (or is a builtin), and
-every imported name is used.  Scopes are not told apart, so a name bound in
-one function and loaded in another passes; the check still catches a name
-that was never imported at all.  ``__init__.py`` re-exports by import and is
-skipped.
+every loaded name is bound somewhere in its module (or is a builtin), every
+imported name is used, and every top-level function or class is referenced
+by name somewhere in the library or the tests.  Scopes are not told apart,
+so a name bound in one function and loaded in another passes; the check
+still catches a name that was never imported at all.  ``__init__.py``
+re-exports by import and is skipped by the per-module checks.
 """
 
 import ast
@@ -13,6 +14,7 @@ from pathlib import Path
 import pytest
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "idealspin"
+TESTS = Path(__file__).resolve().parent
 MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
 
 
@@ -76,6 +78,30 @@ def test_no_unused_imports(path):
     assert not unused, f"{path.name}: unused imports (line, name): {unused}"
 
 
+def _unreferenced(def_paths, ref_paths):
+    """(module, name) of each top-level def/class in def_paths whose name no
+    file in ref_paths loads, reads as an attribute, or imports."""
+    refs = set()
+    for path in ref_paths:
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.Name):
+                refs.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                refs.add(node.attr)
+            elif isinstance(node, ast.alias):
+                refs.add(node.name)
+    return sorted((path.stem, node.name) for path in def_paths
+                  for node in ast.parse(path.read_text()).body
+                  if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+                  and node.name not in refs)
+
+
+def test_every_definition_is_referenced():
+    sources = sorted(SRC.glob("*.py"))
+    dead = _unreferenced(sources, sources + sorted(TESTS.glob("*.py")))
+    assert not dead, f"top-level definitions never referenced: {dead}"
+
+
 def test_lint_flags_a_missing_import(tmp_path):
     """The check itself: an undefined exception name and an unused import
     are both reported."""
@@ -85,3 +111,11 @@ def test_lint_flags_a_missing_import(tmp_path):
     bound, loaded, imported = _scan(bad)
     assert loaded - bound - set(dir(builtins)) == {"GeneratorNotFound"}
     assert [n for n in imported if n not in loaded] == ["gcd"]
+
+
+def test_lint_flags_an_unreferenced_definition(tmp_path):
+    lib = tmp_path / "lib.py"
+    lib.write_text("def used():\n    return 1\n\n\ndef dead():\n    return used()\n")
+    user = tmp_path / "user.py"
+    user.write_text("from lib import used\n")
+    assert _unreferenced([lib], [lib, user]) == [("lib", "dead")]

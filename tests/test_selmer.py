@@ -37,6 +37,12 @@ def test_field_link_rejects_wrong_field():
         custom_curve((-29, -16, 1, 1), 784, 1, quad)
 
 
+def test_field_link_large_discriminant_fails_fast(cfg):
+    # disc ~ 1e24 is a square; the field has no root of this cubic
+    with pytest.raises(ValueError, match="no root in the configured field"):
+        custom_curve((-1, 10**6 - 3, 10**6, 1), 784, 1, cfg.ctx)
+
+
 def test_splitting_criterion(cfg, dom):
     cands = {c.p: c for c in scan_twist_candidates(cfg, dom, 60,
                                                    include_disqualified=True)}

@@ -1,11 +1,13 @@
 import random
 from fractions import Fraction
+from itertools import product
 
 import pytest
 
 from idealspin.errors import NotTotallyPositive
 from idealspin.fields import construct_field
 from idealspin.ideals import prime_power_ideal, split_prime
+from idealspin.lattice import f2_echelon, f2_solve
 from idealspin.units import (
     _enumerate_small_units,
     build_domain,
@@ -127,6 +129,54 @@ def test_unit_group_data(shanks1):
     u2 = shanks1.coords_mod(shanks1.unit_generators[1] ** 2, 8)
     for s in img:
         assert tuple(c % 8 for c in shanks1.mul_coords(s, u2)) in img
+
+
+def test_unit_signs_computed_once_per_context(monkeypatch):
+    ctx = construct_field("shanks_cubic", 4)
+    real = ctx.sign_vector
+    calls = []
+
+    def counting(e):
+        calls.append(e)
+        return real(e)
+
+    monkeypatch.setattr(ctx, "sign_vector", counting)
+    a = ctx.alpha
+    make_totally_positive(ctx, a)
+    assert len(calls) == 1 + len(ctx.unit_generators)
+    calls.clear()
+    for e in (a, -a, a * a - 5, ctx.coerce(-3)):
+        assert ctx.is_totally_positive(make_totally_positive(ctx, e))
+    verify_unit_plus_square(ctx)
+    unit_group_data(ctx)
+    # one sign vector for each argument and each positivity check, none
+    # for the unit generators
+    assert len(calls) == 8
+
+
+def test_f2_solve_matches_brute_force():
+    rng = random.Random(13)
+    inconsistent = 0
+    for m in range(5):
+        for n in (1, 2, 3, 5):
+            for _ in range(5):
+                rows = [tuple(rng.randint(0, 1) for _ in range(n)) for _ in range(m)]
+                span = {}
+                for x in product((0, 1), repeat=m):
+                    v = tuple(sum(xi * r[j] for xi, r in zip(x, rows)) % 2 for j in range(n))
+                    span.setdefault(v, x)
+                echelon = f2_echelon(rows)
+                assert 2 ** len(echelon[1]) == len(span)
+                for target in product((0, 1), repeat=n):
+                    x = f2_solve(echelon, target)
+                    if target not in span:
+                        assert x is None
+                        inconsistent += 1
+                        continue
+                    assert len(x) == m
+                    assert tuple(sum(xi * r[j] for xi, r in zip(x, rows)) % 2
+                                 for j in range(n)) == target
+    assert inconsistent > 0
 
 
 def test_verify_unit_plus_square(shanks1):
