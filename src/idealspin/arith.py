@@ -213,8 +213,17 @@ def poly_roots_modp(f: list[int], p: int) -> list[int]:
         raise ValueError("zero polynomial")
     if p < 60 or len(f) - 1 >= p:
         return [r for r in range(p) if _poly_eval_modp(f, r, p) == 0]
-    if len(f) == 3 and jacobi(f[1] * f[1] - 4 * f[0] * f[2], p) == -1:
-        return []  # irreducible quadratic: skip the x^p powering
+    lead = pow(f[-1], -1, p)
+    f = [c * lead % p for c in f]  # monic, as the powering below needs
+    if len(f) == 3:
+        # x^2 + bx + c: (-b +- sqrt(disc)) / 2, p odd here
+        c, b, _ = f
+        disc = (b * b - 4 * c) % p
+        if jacobi(disc, p) == -1:
+            return []
+        s = _sqrt_modp(disc, p)
+        half = (p + 1) // 2
+        return sorted({(-b + s) * half % p, (-b - s) * half % p})
     # restrict to the product of linear factors: gcd(x^p - x, f)
     xp = poly_powmod([0, 1], p, f, p)
     xp_minus_x = list(xp) + [0] * (2 - len(xp))
@@ -224,6 +233,37 @@ def poly_roots_modp(f: list[int], p: int) -> list[int]:
     _split_linear(g, p, roots)
     roots.sort()
     return roots
+
+
+def _sqrt_modp(a: int, p: int) -> int:
+    """A square root of the residue a mod an odd prime p, by deterministic
+    Tonelli-Shanks (the smallest non-residue as the generator)."""
+    if a == 0:
+        return 0
+    if p % 4 == 3:
+        return pow(a, (p + 1) // 4, p)
+    q, s = p - 1, 0
+    while q % 2 == 0:
+        q //= 2
+        s += 1
+    z = 2
+    while jacobi(z, p) != -1:
+        z += 1
+    c = pow(z, q, p)
+    x = pow(a, (q + 1) // 2, p)
+    t = pow(a, q, p)
+    m = s
+    while t != 1:
+        i, t2 = 0, t
+        while t2 != 1:
+            t2 = t2 * t2 % p
+            i += 1
+        b = pow(c, 1 << (m - i - 1), p)
+        x = x * b % p
+        c = b * b % p
+        t = t * c % p
+        m = i
+    return x
 
 
 def _poly_eval_modp(f: list[int], x: int, p: int) -> int:

@@ -233,6 +233,7 @@ def _dispatch(args, out, err) -> int:
         if args.curve != "784":
             raise HypothesisViolated("only the conductor-784 example curve is built in")
         cfg = selmer.curve_784()
+        cfg.ctx.assert_maximal("selmer-scan")
         dom = build_domain(cfg.ctx)
         blocks = _norm_blocks(args.max_p)
         rows = [r for chunk in _run_blocks((cfg, dom, args.include_disqualified),
@@ -324,6 +325,7 @@ def _dispatch(args, out, err) -> int:
         return 0
 
     if cmd == "spins":
+        ctx.assert_maximal("spins")
         dom = build_domain(ctx)
         mod8 = parse_coords(args.mod8) if args.mod8 else None
         modM = None
@@ -345,6 +347,7 @@ def _dispatch(args, out, err) -> int:
         return 0
 
     if cmd == "spin-sum":
+        ctx.assert_maximal("spin-sum")
         dom = build_domain(ctx)
         mod8 = parse_coords(args.mod8) if args.mod8 else None
         total, count = analytic.spin_sum(ctx, dom, args.max_norm, k=args.k,

@@ -18,6 +18,7 @@ from math import isqrt
 from .arith import is_prime, squarefree
 from .errors import (
     EvenDiscriminant,
+    HypothesisViolated,
     IrreduciblePolyFailure,
     NormMinusOneUnitAbsent,
     PrecisionExhausted,
@@ -415,7 +416,7 @@ class FieldContext:
 
     def assert_maximal(self, what: str) -> None:
         if not self.maximal_order_verified:
-            raise ValueError(
+            raise HypothesisViolated(
                 f"{what} requires the power basis to be the maximal order "
                 f"(not verified for {self.family}({self.param}))"
             )

@@ -3,14 +3,14 @@ coordinate space of a field order.
 
 This is the one home of the matrix kernels: exact determinants (Bareiss),
 Gauss-Jordan solves, elimination over F2, and Hermite normal form bases
-(for ideal arithmetic and membership tests).  On top of them sit exact LLL
+(for ideal arithmetic and membership tests).  On top of them sit LLL
 reduction with respect to the trace quadratic form Q(v) = sum of squared
 real embeddings = Trace(v^2)-form, and bounded short-vector enumeration.
-Everything in the lattice code is exact; floats appear only as search
-guides and every emitted vector is re-checked exactly.
+LLL is integral (Cohen, Alg. 2.6.7): its Gram-Schmidt data are integers,
+built once and updated in place.  Everything in the lattice code is exact;
+floats appear only as search guides and every emitted vector is re-checked
+exactly.
 """
-
-from fractions import Fraction
 
 
 def det(rows):
@@ -182,46 +182,74 @@ def gram(ctx, rows):
     return [[_trace_dot(T, u, v) for v in rows] for u in rows]
 
 
-def _gso_from_gram(G):
-    """Gram-Schmidt data (mu, B) from an exact Gram matrix."""
+def _integral_gso(G):
+    """Fraction-free Gram-Schmidt data (d, lam) of an integral Gram matrix
+    (Cohen, Alg. 2.6.7): d[i] is the Gram determinant of the first i rows,
+    so B_i = d[i+1] / d[i], and lam[i][j] = d[j+1] * mu[i][j] for j < i.
+    All entries are integers; every division below is exact."""
     n = len(G)
-    mu = [[Fraction(0)] * n for _ in range(n)]
-    c = [[Fraction(0)] * n for _ in range(n)]  # c[i][j] = <b_i, b*_j>
-    B = [Fraction(0)] * n
+    d = [1] + [0] * n
+    lam = [[0] * n for _ in range(n)]
     for i in range(n):
         for j in range(i + 1):
-            s = Fraction(G[i][j])
-            for k in range(j):
-                s -= mu[j][k] * c[i][k]
-            c[i][j] = s
+            u = G[i][j]
+            for l in range(j):
+                u = (d[l + 1] * u - lam[i][l] * lam[j][l]) // d[l]
             if j < i:
-                mu[i][j] = s / B[j]
-        B[i] = c[i][i]
-    return mu, B
+                lam[i][j] = u
+            else:
+                d[i + 1] = u
+    return d, lam
+
+
+def _round_div(num, den):
+    """round(Fraction(num, den)) for den > 0: nearest integer, ties to even."""
+    q, r = divmod(num, den)
+    if 2 * r > den or (2 * r == den and q & 1):
+        q += 1
+    return q
 
 
 def lll_reduce(ctx, rows):
-    """Exact LLL (delta = 3/4) of a full-rank basis under the trace form."""
+    """Exact integral LLL (delta = 3/4) of a full-rank basis under the trace
+    form (Cohen, Alg. 2.6.7): the Gram-Schmidt data is built once from the
+    integral Gram matrix and updated in place on each size reduction and
+    swap.  Row k is size-reduced against rows k-1, ..., 0 before each
+    Lovasz test."""
     b = [list(r) for r in rows]
     n = len(b)
-    delta = Fraction(3, 4)
+    d, lam = _integral_gso(gram(ctx, b))
     k = 1
     guard = 0
     while k < n:
         guard += 1
         if guard > 10000:
             raise ArithmeticError("LLL failed to terminate")  # pragma: no cover
-        mu, B = _gso_from_gram(gram(ctx, b))
+        lk = lam[k]
         for j in range(k - 1, -1, -1):
-            q = round(mu[k][j])
+            q = _round_div(lk[j], d[j + 1])
             if q:
                 b[k] = [a - q * c for a, c in zip(b[k], b[j])]
-                mu, B = _gso_from_gram(gram(ctx, b))
-        if B[k] >= (delta - mu[k][k - 1] ** 2) * B[k - 1]:
+                lk[j] -= q * d[j + 1]
+                lj = lam[j]
+                for i in range(j):
+                    lk[i] -= q * lj[i]
+        t = lk[k - 1]
+        # B_k >= (3/4 - mu^2) B_{k-1}, times 4 d[k] d[k-1] > 0
+        if 4 * d[k + 1] * d[k - 1] >= 3 * d[k] * d[k] - 4 * t * t:
             k += 1
-        else:
-            b[k], b[k - 1] = b[k - 1], b[k]
-            k = max(k - 1, 1)
+            continue
+        b[k], b[k - 1] = b[k - 1], b[k]
+        for j in range(k - 1):
+            lk[j], lam[k - 1][j] = lam[k - 1][j], lk[j]
+        dk = (d[k - 1] * d[k + 1] + t * t) // d[k]
+        for i in range(k + 1, n):
+            li = lam[i]
+            s = li[k]
+            li[k] = (d[k + 1] * li[k - 1] - t * s) // d[k]
+            li[k - 1] = (dk * s + t * li[k]) // d[k + 1]
+        d[k] = dk
+        k = max(k - 1, 1)
     return b
 
 
@@ -231,10 +259,10 @@ def short_vectors(ctx, basis, bound):
     order.  Floats steer the recursion; every candidate is verified exactly.
     """
     n = len(basis)
-    G = gram(ctx, basis)
-    mu, B = _gso_from_gram(G)
-    q = [[float(mu[i][j]) for j in range(n)] for i in range(n)]
-    Bf = [float(x) for x in B]
+    d, lam = _integral_gso(gram(ctx, basis))
+    # int / int is correctly rounded: the floats nearest to mu[i][j] and B_i
+    q = [[lam[i][j] / d[j + 1] for j in range(n)] for i in range(n)]
+    Bf = [d[i + 1] / d[i] for i in range(n)]
     out = []
     x = [0] * n
 

@@ -1,3 +1,4 @@
+import hashlib
 import io
 import json
 
@@ -44,6 +45,28 @@ def test_domain_info_golden(field, C, unit):
     assert code == 0
     info = json.loads(out)
     assert info["C"] == C and info["contracting_unit"] == unit
+
+
+@pytest.mark.parametrize("argv,lines,sha256", [
+    (("spins", "--field", "shanks:4", "--max-norm", "3000", "--workers", "1"), 429,
+     "9f0bb5bd198246d760f10e7fa1733e7c70d1f1c33f5071c97d63ce4f0b6b9466"),
+    (("quad-spins", "--d", "13", "--max-norm", "8000", "--workers", "1"), 53,
+     "faa223cc39c2b15389127e6b79912fb093b4c0861239893572579ff50229343e"),
+], ids=["spins-shanks4", "quad-spins-d13"])
+def test_generator_pipeline_golden(argv, lines, sha256):
+    code, out, _ = run_cli(*argv)
+    assert code == 0
+    assert len(out.splitlines()) == lines
+    assert hashlib.sha256(out.encode()).hexdigest() == sha256
+
+
+@pytest.mark.parametrize("command", ["domain-count", "spins"])
+def test_non_maximal_order_rejected(command):
+    # the power basis of shanks:3 is not verified to be the maximal order
+    code, out, err = run_cli(command, "--field", "shanks:3", "--max-norm", "100")
+    assert code == 2
+    assert json.loads(err)["error"] == "HypothesisViolated"
+    assert out == ""
 
 
 def test_primes_csv_header():

@@ -2,8 +2,9 @@ import random
 
 import pytest
 
-from idealspin.arith import sieve_primes
+from idealspin.arith import poly_roots_modp, sieve_primes
 from idealspin.errors import GeneratorNotFound
+from idealspin.fields import construct_field
 from idealspin.ideals import (
     UNIT_IDEAL,
     apply_galois_ideal,
@@ -25,6 +26,25 @@ from idealspin.ideals import (
 )
 from idealspin.lattice import hnf_det
 from idealspin.logcomb import LogCombination
+
+
+@pytest.mark.parametrize("family,param", [
+    ("shanks_cubic", 1), ("shanks_cubic", 4), ("real_quadratic", 5), ("real_quadratic", 13),
+])
+def test_poly_roots_modp_matches_brute_force(family, param):
+    # 60 < p < 3000 has p = 3 mod 4, p = 5 mod 8 and p = 1 mod 8 (the
+    # Tonelli-Shanks loop); below 60 the function itself is brute force
+    f = list(construct_field(family, param).poly)
+    for p in sieve_primes(3000, lo=61):
+        brute = [r for r in range(p) if sum(c * r**i for i, c in enumerate(f)) % p == 0]
+        assert poly_roots_modp(f, p) == brute, p
+
+
+def test_poly_roots_modp_non_monic():
+    for p in sieve_primes(700, lo=61):
+        for f in ([22, 47, -7], [-1, 0, 3], [1, 0, 0, 2], [3, 1, 0, 5]):
+            brute = [r for r in range(p) if sum(c * r**i for i, c in enumerate(f)) % p == 0]
+            assert poly_roots_modp(f, p) == brute, (f, p)
 
 
 def test_split_examples(shanks1):
