@@ -8,9 +8,6 @@ from .fields import (
     apply_automorphism,
     construct_field,
     find_root_in_field,
-    norm,
-    sign_vector,
-    trace,
 )
 from .ideals import (
     IdealFactorization,

@@ -76,34 +76,19 @@ def spin_sequence(ctx, dom: FundamentalDomain, mod_M=None) -> SequenceA:
 # prime sums
 
 
-def spin_sum(ctx, dom: FundamentalDomain, X: int, k: int = 1,
-             degree_one_only: bool = False,
-             mod8_class=None, mod_M=None, weighted: bool = False):
-    """Sum of spin(sigma^k, p) over prime ideals of norm <= X (optionally
-    filtered).  Returns (sum, prime_count); in weighted mode the sum is the
-    exact Lambda-weighted formal log combination over prime powers."""
+def spin_sum(ctx, dom: FundamentalDomain, X: int, k: int = 1, mod8_class=None):
+    """Sum of spin(sigma^k, p) over prime ideals of norm <= X, optionally
+    restricted to generators in one class mod 8.  Returns (sum,
+    prime_count)."""
     from .spin import spin_prime_stream
 
     total = 0
     count = 0
-    wtotal = LogCombination()
-    for kind, item in spin_prime_stream(ctx, dom, X, degree_one_only=degree_one_only,
-                                        mod8_class=mod8_class, mod_M=mod_M):
+    for kind, item in spin_prime_stream(ctx, dom, X, mod8_class=mod8_class):
         if kind != "record":
             continue
-        s = item.spins[k - 1]
         count += 1
-        total += s
-        if weighted:
-            pw = prime_power_ideal(item.prime)
-            acc = pw
-            g = item.generator
-            while acc.norm <= X:
-                sv = residue_symbol(ctx, g, apply_galois_ideal(ctx, acc, k)) if item.prime.p != 2 else 0
-                wtotal = wtotal + sv * mangoldt(acc)
-                acc = acc * pw
-    if weighted:
-        return wtotal, count
+        total += item.spins[k - 1]
     return total, count
 
 
@@ -246,39 +231,27 @@ def vaughan_verify(ctx, seq: SequenceA, x: int, y: int, z: int,
             if a:
                 S1 = S1 + (mu_m * a) * log_norm(L)
 
-    # S2 = sum over d = a*m (Na, Nm <= y) mu(m) Lambda(a) A_d(x)
-    S2 = LogCombination()
-    prime_powers_y = [I for I in upto(y) if len(I.factors) == 1]
     squarefree_y = [I for I in upto(y) if moebius(I) != 0]
-    for A in prime_powers_y:
-        lam = mangoldt(A)
-        for Mm in squarefree_y:
-            mu_m = moebius(Mm)
-            d = A * Mm
-            if d.norm > x:
-                continue
-            coeff = 0
-            for L in upto(x // d.norm):
-                coeff += seq(d * L)
-            if coeff:
-                S2 = S2 + (mu_m * coeff) * lam
 
-    # S3 = triple sum over y < Na <= z prime powers, Nm <= y squarefree
-    S3 = LogCombination()
-    pp_mid = [I for I in upto(z) if I.norm > y and len(I.factors) == 1]
-    for A in pp_mid:
-        lam = mangoldt(A)
-        for Mm in squarefree_y:
-            mu_m = moebius(Mm)
-            base = A * Mm
-            if base.norm > x:
-                continue
-            coeff = 0
-            for L in upto(x // base.norm):
-                coeff += seq(base * L)
-            if coeff:
-                S3 = S3 + (mu_m * coeff) * lam
+    def lambda_mu_sum(prime_powers):
+        # sum over d = a*m, a in prime_powers, Nm <= y: mu(m) Lambda(a) A_d(x)
+        total = LogCombination()
+        for A in prime_powers:
+            lam = mangoldt(A)
+            for Mm in squarefree_y:
+                d = A * Mm
+                if d.norm > x:
+                    continue
+                coeff = 0
+                for L in upto(x // d.norm):
+                    coeff += seq(d * L)
+                if coeff:
+                    total = total + (moebius(Mm) * coeff) * lam
+        return total
 
+    # S2 over prime powers Na <= y, S3 over y < Na <= z
+    S2 = lambda_mu_sum([I for I in upto(y) if len(I.factors) == 1])
+    S3 = lambda_mu_sum([I for I in upto(z) if I.norm > y and len(I.factors) == 1])
     return VaughanReport(x, y, z, S_x, S_z, S1, S2, S3)
 
 

@@ -185,25 +185,28 @@ def poly_gcd_modp(a: list[int], b: list[int], p: int) -> list[int]:
     a = poly_trim([c % p for c in a])
     b = poly_trim([c % p for c in b])
     while b:
-        a, b = b, _poly_rem(a, b, p)
+        a, b = b, _poly_divmod(a, b, p)[1]
     if a:
         inv = pow(a[-1], -1, p)
         a = [c * inv % p for c in a]
     return a
 
 
-def _poly_rem(a: list[int], b: list[int], p: int) -> list[int]:
-    a = list(a)
+def _poly_divmod(a: list[int], b: list[int], p: int) -> tuple[list[int], list[int]]:
+    """(q, r) with a = q*b + r over F_p and deg r < deg b; b trimmed mod p
+    and nonzero."""
+    a = poly_trim([c % p for c in a])
+    q = [0] * max(len(a) - len(b) + 1, 0)
     inv = pow(b[-1], -1, p)
-    while len(a) >= len(b) and a:
+    while len(a) >= len(b):
         c = a[-1] * inv % p
-        if c:
-            off = len(a) - len(b)
-            for i, bi in enumerate(b):
-                a[off + i] = (a[off + i] - c * bi) % p
+        off = len(a) - len(b)
+        q[off] = c
+        for i, bi in enumerate(b):
+            a[off + i] = (a[off + i] - c * bi) % p
         a.pop()
         poly_trim(a)
-    return a
+    return poly_trim(q), a
 
 
 def poly_roots_modp(f: list[int], p: int) -> list[int]:
@@ -295,21 +298,6 @@ def _split_linear(g: list[int], p: int, out: list[int]) -> None:
         d = poly_gcd_modp(h, g, p)
         if 0 < len(d) - 1 < deg:
             _split_linear(d, p, out)
-            _split_linear(_poly_quot(g, d, p), p, out)
+            _split_linear(_poly_divmod(g, d, p)[0], p, out)
             return
     raise ArithmeticError("root splitting failed")
-
-
-def _poly_quot(a: list[int], b: list[int], p: int) -> list[int]:
-    a = list(a)
-    q = [0] * (len(a) - len(b) + 1)
-    inv = pow(b[-1], -1, p)
-    while len(a) >= len(b) and poly_trim(a):
-        c = a[-1] * inv % p
-        off = len(a) - len(b)
-        q[off] = c
-        for i, bi in enumerate(b):
-            a[off + i] = (a[off + i] - c * bi) % p
-        a.pop()
-        poly_trim(a)
-    return poly_trim(q)

@@ -61,12 +61,13 @@ def build_parser():
     top.add_argument("--config", help="flat key=value defaults file")
     sub = top.add_subparsers(dest="command", required=True)
 
-    def cmd(name, **kw):
-        p = sub.add_parser(name, **kw)
-        p.add_argument("--field", default="shanks:1")
-        p.add_argument("--format", choices=("csv", "json"), default="csv")
-        p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--workers", type=int, default=1)
+    def cmd(name, field=True, workers=False):
+        # each command registers only the flags it reads
+        p = sub.add_parser(name)
+        if field:
+            p.add_argument("--field", default="shanks:1")
+        if workers:
+            p.add_argument("--workers", type=int, default=1)
         return p
 
     cmd("field-info")
@@ -80,7 +81,7 @@ def build_parser():
     p = cmd("symbol")
     p.add_argument("--upper", required=True, help="element coords a,b,c")
     p.add_argument("--lower", required=True, help="prime p:r or element coords")
-    p = cmd("spins")
+    p = cmd("spins", workers=True)
     p.add_argument("--max-norm", type=int, default=100)
     p.add_argument("--degree-one-only", action="store_true")
     p.add_argument("--mod8", help="target coords mod 8, e.g. 1,0,0")
@@ -94,14 +95,16 @@ def build_parser():
     p.add_argument("--sequence", choices=("spin", "ones"), default="spin")
     p = cmd("char-scan")
     p.add_argument("--q-max", type=int, default=1000)
-    p = cmd("quad-spins")
+    p.add_argument("--format", choices=("csv", "json"), default="csv")
+    p = cmd("quad-spins", field=False, workers=True)
     p.add_argument("--d", type=int, default=5)
     p.add_argument("--max-norm", type=int, default=10000)
-    p = cmd("selmer-scan")
+    p = cmd("selmer-scan", field=False, workers=True)
     p.add_argument("--curve", default="784")
     p.add_argument("--max-p", type=int, default=10000)
     p.add_argument("--include-disqualified", action="store_true")
-    cmd("selftest")
+    p = cmd("selftest", field=False)
+    p.add_argument("--seed", type=int, default=0)
     return top
 
 

@@ -8,8 +8,11 @@ Three families are supported:
   fundamental unit has norm -1.
 
 All element arithmetic is exact (integer or Fraction coordinates in the
-power basis).  Real embeddings are certified interval enclosures; every
-sign decision either resolves exactly or raises PrecisionExhausted.
+power basis).  Real embeddings are certified interval enclosures, and
+``FieldContext.sign_vector`` is the one path by which the library decides
+the sign of an element at a real embedding: every sign either resolves
+exactly or raises PrecisionExhausted.  Exact Q[x] arithmetic lives in
+``roots``.
 """
 
 from fractions import Fraction
@@ -28,6 +31,9 @@ from .roots import (
     INITIAL_BITS,
     MAX_BITS,
     RootIsolator,
+    _qdivmod,
+    _qmul,
+    _qtrim,
     interval_eval,
     interval_sign,
 )
@@ -38,36 +44,7 @@ REAL_QUADRATIC = "real_quadratic"
 
 
 # ---------------------------------------------------------------------------
-# exact polynomial helpers over Q, used during construction
-
-
-def _qtrim(a):
-    while a and a[-1] == 0:
-        a.pop()
-    return a
-
-
-def _qmul(a, b):
-    out = [Fraction(0)] * (len(a) + len(b) - 1) if a and b else []
-    for i, ai in enumerate(a):
-        if ai:
-            for j, bj in enumerate(b):
-                out[i + j] += ai * bj
-    return out
-
-
-def _qdivmod(a, b):
-    a = [Fraction(c) for c in a]
-    q = [Fraction(0)] * max(len(a) - len(b) + 1, 0)
-    while _qtrim(a) and len(a) >= len(b):
-        c = a[-1] / b[-1]
-        off = len(a) - len(b)
-        q[off] = c
-        for i, bi in enumerate(b):
-            a[off + i] -= c * bi
-        a.pop()
-        _qtrim(a)
-    return q, a
+# exact polynomial helpers, used during construction
 
 
 def _sylvester_resultant(f: list[int], g: list[int]) -> int:
@@ -174,17 +151,30 @@ class FieldElement:
         return apply_automorphism(self, k)
 
     def inverse(self):
-        inv = _field_inverse(self.ctx, self.coords)
-        return FieldElement(self.ctx, inv)
-
-    def sign_vector(self):
-        return self.ctx.sign_vector(self)
+        return FieldElement(self.ctx, _field_inverse(self.ctx.poly, self.coords))
 
 
-def _field_inverse(ctx, coords):
-    if all(c == 0 for c in coords):
+def _field_inverse(poly, coords):
+    """Inverse in Q[x]/(poly) by the extended Euclidean algorithm."""
+    f = [Fraction(c) for c in poly]
+    a = _qtrim([Fraction(c) for c in coords])
+    if not a:
         raise ZeroDivisionError("inverse of zero field element")
-    return _field_inverse_static(ctx.poly, coords)
+    r0, r1 = f, a
+    s0, s1 = [Fraction(0)], [Fraction(1)]
+    while _qtrim(list(r1)):
+        q, r = _qdivmod(r0, r1)
+        t = _qmul(q, s1)
+        news = [x - y for x, y in
+                zip(s0 + [Fraction(0)] * max(0, len(t) - len(s0)),
+                    t + [Fraction(0)] * max(0, len(s0) - len(t)))]
+        r0, r1 = r1, r
+        s0, s1 = s1, _qtrim(news) or [Fraction(0)]
+    c = r0[0]
+    n = len(poly) - 1
+    inv = [x / c for x in s0][:n]
+    inv += [Fraction(0)] * (n - len(inv))
+    return tuple(int(x) if x.denominator == 1 else x for x in inv)
 
 
 class FieldContext:
@@ -449,7 +439,7 @@ def _shanks_context(m: int, h: int) -> FieldContext:
         raise ArithmeticError("discriminant identity failed")  # pragma: no cover
     # sigma(alpha) = -1/(1+alpha): f(-1/(1+x))*(1+x)^3 = -f(x), so it is a
     # root; integral because N(1+alpha) = -f(-1) = -1
-    one_plus = _field_inverse_static(poly, (1, 1, 0))
+    one_plus = _field_inverse(poly, (1, 1, 0))
     sigma_alpha = tuple(-c for c in one_plus)
     ctx = FieldContext(
         SHANKS_CUBIC, m, poly, sigma_alpha,
@@ -461,48 +451,34 @@ def _shanks_context(m: int, h: int) -> FieldContext:
     return ctx
 
 
-def _field_inverse_static(poly, coords):
-    """Inverse in Q[x]/(poly) without a context (construction-time use)."""
-    f = [Fraction(c) for c in poly]
-    a = _qtrim([Fraction(c) for c in coords])
-    r0, r1 = f, a
-    s0, s1 = [Fraction(0)], [Fraction(1)]
-    while _qtrim(list(r1)):
-        q, r = _qdivmod(r0, r1)
-        t = _qmul(q, s1)
-        news = [x - y for x, y in
-                zip(s0 + [Fraction(0)] * max(0, len(t) - len(s0)),
-                    t + [Fraction(0)] * max(0, len(s0) - len(t)))]
-        r0, r1 = r1, r
-        s0, s1 = s1, _qtrim(news) or [Fraction(0)]
-    c = r0[0]
-    n = len(poly) - 1
-    inv = [x / c for x in s0][:n]
-    inv += [Fraction(0)] * (n - len(inv))
-    return tuple(int(x) if x.denominator == 1 else x for x in inv)
-
-
 def _quadratic_context(d: int, h: int) -> FieldContext:
     if d < 2 or not squarefree(d):
         raise ValueError("d must be a squarefree integer >= 2")
     if d % 4 != 1:
         raise EvenDiscriminant(f"d = {d} is not 1 mod 4; field discriminant is even")
     poly = ((1 - d) // 4, -1, 1)  # x^2 - x + (1-d)/4, root (1+sqrt d)/2
-    eps = _cf_fundamental_unit(d)
     sigma_alpha = (1, -1)  # sigma(alpha) = 1 - alpha
-    return FieldContext(
+    ctx = FieldContext(
         REAL_QUADRATIC, d, poly, sigma_alpha,
-        unit_gen_coords=[(-1, 0), eps],
+        unit_gen_coords=[(-1, 0), _cf_fundamental_unit(d)],
         class_number_assumption=h,
         maximal_order_verified=True,
         disc_field=d,
     )
+    # normalize to the unit > 1 at the first embedding, alpha = (1+sqrt d)/2
+    eps = ctx.unit_generators[1]
+    if ctx.sign_vector(eps)[0] < 0:
+        eps = -eps
+    if ctx.sign_vector(eps - 1)[0] < 0:
+        eps = -eps.galois(1)  # norm -1: eps^{-1} = -sigma(eps)
+    ctx.unit_generators = (ctx.unit_generators[0], eps)
+    return ctx
 
 
 def _cf_fundamental_unit(d: int) -> tuple[int, int]:
     """Fundamental unit of Z[(1+sqrt d)/2] from the continued fraction of
     (1+sqrt d)/2; raises if its norm is +1.  Returns coords (x, y) of the
-    unit x + y*alpha normalized to be > 1 at the first embedding."""
+    unit x + y*alpha, up to sign and inversion."""
     P, Q = 1, 2
     h0, h1 = 1, 0  # p_{-1}, p_{-2}
     k0, k1 = 0, 1
@@ -526,30 +502,7 @@ def _cf_fundamental_unit(d: int) -> tuple[int, int]:
         raise NormMinusOneUnitAbsent(
             f"fundamental unit of Q(sqrt {d}) has norm +1"
         )
-    # normalize exactly to the unit that is > 1 at the first embedding,
-    # where alpha = (1 + sqrt d)/2: x + y*alpha = ((2x + y) + y sqrt d)/2
-    if _sign_at_sqrt(2 * x + y, y, d) < 0:
-        x, y = -x, -y
-    # now positive; if < 1 invert: norm -1 gives u^{-1} = -conjugate(u)
-    if _sign_at_sqrt(2 * (x - 1) + y, y, d) < 0:
-        x, y = -(x + y), y
     return (x, y)
-
-
-def _sign_at_sqrt(t: int, s: int, d: int) -> int:
-    """Exact sign of t + s*sqrt(d) for integers t, s and nonsquare d > 0."""
-    if s == 0:
-        return (t > 0) - (t < 0)
-    if t == 0:
-        return (s > 0) - (s < 0)
-    if t > 0 and s > 0:
-        return 1
-    if t < 0 and s < 0:
-        return -1
-    cmp = t * t - s * s * d  # sign of |t|^2 - |s*sqrt d|^2
-    if t > 0:
-        return 1 if cmp > 0 else -1
-    return -1 if cmp > 0 else 1
 
 
 _LEHMER_RECON_BITS = (256, 512, 1024, 2048)
@@ -734,15 +687,3 @@ def apply_automorphism(e: FieldElement, k: int) -> FieldElement:
     if not 0 <= k < ctx.degree:
         raise ValueError("automorphism index out of range")
     return FieldElement(ctx, ctx._apply_rows(ctx.automorphisms[k], e.coords))
-
-
-def norm(e: FieldElement):
-    return e.norm()
-
-
-def trace(e: FieldElement):
-    return e.trace()
-
-
-def sign_vector(e: FieldElement) -> tuple[int, ...]:
-    return e.ctx.sign_vector(e)

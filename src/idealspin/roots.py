@@ -1,5 +1,10 @@
-"""Certified real root enclosures for squarefree integer polynomials with
-all roots real (the defining polynomials of totally real fields).
+"""Exact Q[x] arithmetic and certified real root enclosures for squarefree
+integer polynomials with all roots real (the defining polynomials of totally
+real fields).
+
+The Q[x] helpers (``_qtrim``, ``_qmul``, ``_qdivmod``) are the library's one
+exact polynomial kernel over the rationals: the Sturm chains below and the
+field constructions in ``fields`` both use them.
 
 Roots are isolated with Sturm sequences and refined by dyadic bisection, so
 every interval endpoint is a dyadic rational.  Refinement is memoized and
@@ -14,25 +19,48 @@ INITIAL_BITS = 64
 MAX_BITS = 8192
 
 
+# ---------------------------------------------------------------------------
+# exact polynomial arithmetic over Q (coefficient lists, low degree first)
+
+
+def _qtrim(a):
+    while a and a[-1] == 0:
+        a.pop()
+    return a
+
+
+def _qmul(a, b):
+    out = [Fraction(0)] * (len(a) + len(b) - 1) if a and b else []
+    for i, ai in enumerate(a):
+        if ai:
+            for j, bj in enumerate(b):
+                out[i + j] += ai * bj
+    return out
+
+
+def _qdivmod(a, b):
+    """(q, r) with a = q*b + r and deg r < deg b; b trimmed and nonzero."""
+    a = [Fraction(c) for c in a]
+    q = [Fraction(0)] * max(len(a) - len(b) + 1, 0)
+    while _qtrim(a) and len(a) >= len(b):
+        c = a[-1] / b[-1]
+        off = len(a) - len(b)
+        q[off] = c
+        for i, bi in enumerate(b):
+            a[off + i] -= c * bi
+        a.pop()
+        _qtrim(a)
+    return q, a
+
+
+# ---------------------------------------------------------------------------
+# root isolation
+
+
 def _sturm_chain(poly: list[Fraction]) -> list[list[Fraction]]:
-    def deriv(f):
-        return [i * c for i, c in enumerate(f)][1:]
-
-    def rem(a, b):
-        a = list(a)
-        while len(a) >= len(b) and any(a):
-            c = a[-1] / b[-1]
-            off = len(a) - len(b)
-            for i, bi in enumerate(b):
-                a[off + i] -= c * bi
-            a.pop()
-            while a and a[-1] == 0:
-                a.pop()
-        return a
-
-    chain = [list(poly), deriv(poly)]
+    chain = [list(poly), [i * c for i, c in enumerate(poly)][1:]]
     while chain[-1]:
-        r = rem(chain[-2], chain[-1])
+        r = _qdivmod(chain[-2], chain[-1])[1]
         if not r:
             break
         chain.append([-c for c in r])

@@ -13,10 +13,17 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from math import log
 
-from .errors import NotTotallyPositive, SearchBoundExceeded, SignSystemSingular
+from .errors import CostGuard, NotTotallyPositive, SearchBoundExceeded, SignSystemSingular
 from .fields import FieldElement
 from .lattice import f2_echelon, f2_solve, gauss_jordan
-from .roots import interval_eval
+
+# Scalings of the log-embedding solution tried for the contracting unit.
+CONTRACTING_MAX_SCALE = 40
+# Largest exponent box (product of 2b+1 over the generators) the small-unit
+# enumeration walks.  Measured boxes: at most 775 points for shanks m in
+# {1, 2, 4, 5, 7, 10, 13, 20}, at most 9 for quad d <= 293, and 250,978,761
+# for lehmer:-1, which would run for hours.
+MAX_SMALL_UNIT_BOX = 100_000
 
 
 # ---------------------------------------------------------------------------
@@ -137,7 +144,7 @@ def _count_small_embeddings(ctx, u) -> int:
     return sum(1 for s in ctx.sign_vector(one_minus) if s > 0)
 
 
-def find_contracting_unit(ctx, max_scale: int = 40) -> FieldElement:
+def find_contracting_unit(ctx) -> FieldElement:
     """A totally positive unit (a square) with all but one embedding <= 1/2,
     chosen with the smallest peak embedding the search can see (small peaks
     shrink every domain constant downstream).
@@ -159,7 +166,7 @@ def find_contracting_unit(ctx, max_scale: int = 40) -> FieldElement:
 
     candidates: list[tuple[int, ...]] = []
     seen = set()
-    for t in range(1, max_scale + 1):
+    for t in range(1, CONTRACTING_MAX_SCALE + 1):
         center = [t * x for x in base]
         offsets = range(-1, 2) if r <= 3 else (0,)
         from itertools import product as iproduct
@@ -182,7 +189,7 @@ def find_contracting_unit(ctx, max_scale: int = 40) -> FieldElement:
             continue
         v = ctx.one
         for g, a in zip(gens, exps):
-            v = v * (g**a if a >= 0 else g.inverse() ** (-a))
+            v = v * g**a
         u = v * v  # square of a unit: totally positive by construction
         if u == ctx.one:
             continue
@@ -274,6 +281,12 @@ def _enumerate_small_units(ctx, C: Fraction, enlarge: int = 0):
     for i in range(r):
         bi = sum(abs(inv[i][k]) for k in range(r)) * (r * logC)
         bounds.append(int(bi * 1.5) + 2 + enlarge)
+    box = 1
+    for b in bounds:
+        box *= 2 * b + 1
+    if box > MAX_SMALL_UNIT_BOX:
+        raise CostGuard(f"small-unit exponent box of {box} points exceeds "
+                        f"{MAX_SMALL_UNIT_BOX}")
     out = []
 
     def rec(i, acc):
@@ -281,13 +294,12 @@ def _enumerate_small_units(ctx, C: Fraction, enlarge: int = 0):
             u = acc * acc
             if u == ctx.one:
                 return
-            diff = ctx.coerce(C) - u
-            if all(s > 0 for s in ctx.sign_vector(diff)):
+            if ctx.is_totally_positive(ctx.coerce(C) - u):
                 out.append(u)
             return
         g = gens[i]
         for m in range(-bounds[i], bounds[i] + 1):
-            rec(i + 1, acc * (g**m if m >= 0 else g.inverse() ** (-m)))
+            rec(i + 1, acc * g**m)
 
     rec(0, ctx.one)
     uniq = {}
@@ -401,17 +413,6 @@ def domain_elements(dom: FundamentalDomain, X: int) -> list[tuple[int, ...]]:
     def exact_ceil_div(num, den):
         return -((-num) // den)  # den > 0
 
-    def is_tp(c):
-        # cheap certified check first, exact fallback on the boundary zone
-        enc = [interval_eval([Fraction(x) for x in c], iv) for iv in ivs]
-        if all(lo > 0 for lo, _ in enc):
-            return True
-        if any(hi < 0 for _, hi in enc):
-            return False
-        return not ctx.element(tuple(c)).is_zero() and ctx.is_totally_positive(
-            ctx.element(tuple(c))
-        )
-
     logX = float(X) * 1.0001 + 1.0
 
     def scan_a0():
@@ -436,7 +437,7 @@ def domain_elements(dom: FundamentalDomain, X: int) -> list[tuple[int, ...]]:
         a0 = lo
         for _ in range(8):
             coords[0] = a0
-            if any(coords) and is_tp(coords):
+            if any(coords) and ctx.is_totally_positive(ctx.element(coords)):
                 break
             a0 += 1
         else:

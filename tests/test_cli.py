@@ -1,6 +1,10 @@
 import hashlib
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -52,7 +56,10 @@ def test_domain_info_golden(field, C, unit):
      "9f0bb5bd198246d760f10e7fa1733e7c70d1f1c33f5071c97d63ce4f0b6b9466"),
     (("quad-spins", "--d", "13", "--max-norm", "8000", "--workers", "1"), 53,
      "faa223cc39c2b15389127e6b79912fb093b4c0861239893572579ff50229343e"),
-], ids=["spins-shanks4", "quad-spins-d13"])
+    (("domain-count", "--field", "shanks:1", "--max-norm", "1000",
+      "--max-modulus-norm", "8"), 16,
+     "7e069be7f54307f288e2ab51010e1d5c2ce1725108f2089f208e38440be3f2de"),
+], ids=["spins-shanks4", "quad-spins-d13", "domain-count-shanks1"])
 def test_generator_pipeline_golden(argv, lines, sha256):
     code, out, _ = run_cli(*argv)
     assert code == 0
@@ -67,6 +74,35 @@ def test_non_maximal_order_rejected(command):
     assert code == 2
     assert json.loads(err)["error"] == "HypothesisViolated"
     assert out == ""
+
+
+def test_oversized_unit_box_fails_fast():
+    """lehmer:-1 asks for an exponent box of about 2.5e8 unit products: the
+    domain build stops with CostGuard instead of running without end.  A
+    subprocess with a timeout, so a regression fails instead of hanging."""
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    proc = subprocess.run([sys.executable, "-m", "idealspin.cli", "domain-info",
+                           "--field", "lehmer:-1"],
+                          capture_output=True, text=True, timeout=60, env=env)
+    assert proc.returncode == 2
+    assert json.loads(proc.stderr)["error"] == "CostGuard"
+    assert proc.stdout == ""
+
+
+@pytest.mark.parametrize("argv", [
+    ("quad-spins", "--field", "shanks:1"),
+    ("selmer-scan", "--field", "shanks:1"),
+    ("selftest", "--field", "shanks:1"),
+    ("selftest", "--workers", "2"),
+    ("domain-count", "--workers", "2"),
+    ("field-info", "--format", "json"),
+    ("spins", "--seed", "3"),
+])
+def test_flag_not_read_by_command_is_usage_error(argv):
+    with pytest.raises(SystemExit) as exc:
+        run(list(argv), out=io.StringIO(), err=io.StringIO())
+    assert exc.value.code == 1
 
 
 def test_primes_csv_header():

@@ -3,8 +3,11 @@ from fractions import Fraction
 
 import pytest
 
+from idealspin import fields
+from idealspin.arith import squarefree
 from idealspin.errors import EvenDiscriminant, NormMinusOneUnitAbsent, PrecisionExhausted
 from idealspin.fields import (
+    _cf_fundamental_unit,
     apply_automorphism,
     construct_field,
     find_root_in_field,
@@ -129,6 +132,53 @@ def test_quadratic_units():
     assert q13.unit_generators[1].norm() == -1
 
 
+def _ref_sign_at_sqrt(t, s, d):
+    """Exact sign of t + s*sqrt(d) for integers t, s and nonsquare d > 0."""
+    if s == 0:
+        return (t > 0) - (t < 0)
+    if t == 0:
+        return (s > 0) - (s < 0)
+    if t > 0 and s > 0:
+        return 1
+    if t < 0 and s < 0:
+        return -1
+    cmp = t * t - s * s * d
+    if t > 0:
+        return 1 if cmp > 0 else -1
+    return -1 if cmp > 0 else 1
+
+
+def _ref_normalized_unit(x, y, d):
+    """The unit x + y*alpha made > 1 at alpha = (1 + sqrt d)/2 by exact
+    square-root sign tests: x + y*alpha = ((2x + y) + y sqrt d)/2."""
+    if _ref_sign_at_sqrt(2 * x + y, y, d) < 0:
+        x, y = -x, -y
+    if _ref_sign_at_sqrt(2 * (x - 1) + y, y, d) < 0:
+        x, y = -(x + y), y  # norm -1: u^{-1} = -conjugate(u)
+    return (x, y)
+
+
+def test_quadratic_unit_normalization_matches_sqrt_reference(monkeypatch):
+    """The unit normalized by sign_vector equals the exact sqrt(d) reference
+    for every d < 3000 with a norm -1 unit, from each of the four
+    associates +-eps^(+-1) of the continued-fraction unit."""
+    fields_checked = 0
+    for d in range(5, 3000, 4):
+        if not squarefree(d):
+            continue
+        try:
+            x, y = _cf_fundamental_unit(d)
+        except NormMinusOneUnitAbsent:
+            continue
+        fields_checked += 1
+        want = _ref_normalized_unit(x, y, d)
+        for assoc in ((x, y), (-x, -y), (x + y, -y), (-(x + y), y)):
+            monkeypatch.setattr(fields, "_cf_fundamental_unit", lambda _d, a=assoc: a)
+            ctx = construct_field("real_quadratic", d)
+            assert ctx.unit_generators[1].coords == want, (d, assoc)
+    assert fields_checked == 283
+
+
 def test_quadratic_rejections():
     with pytest.raises(EvenDiscriminant):
         construct_field("real_quadratic", 3)
@@ -180,6 +230,8 @@ def test_element_inverse(shanks1):
         if e.is_zero():
             continue
         assert (e * e.inverse()) == shanks1.one
+    with pytest.raises(ZeroDivisionError):
+        shanks1.zero.inverse()
 
 
 def _cofactor_det(m):

@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from idealspin.arith import poly_roots_modp, sieve_primes
+from idealspin.arith import _poly_divmod, poly_roots_modp, poly_trim, sieve_primes
 from idealspin.errors import GeneratorNotFound
 from idealspin.fields import construct_field
 from idealspin.ideals import (
@@ -45,6 +45,30 @@ def test_poly_roots_modp_non_monic():
         for f in ([22, 47, -7], [-1, 0, 3], [1, 0, 0, 2], [3, 1, 0, 5]):
             brute = [r for r in range(p) if sum(c * r**i for i, c in enumerate(f)) % p == 0]
             assert poly_roots_modp(f, p) == brute, (f, p)
+
+
+def test_poly_divmod_identity():
+    """q*b + r = a over F_p with deg r < deg b, for monic and non-monic b."""
+    rng = random.Random(7)
+    for p in (2, 3, 7, 61, 461):
+        for _ in range(40):
+            a = [rng.randrange(p) for _ in range(rng.randint(0, 8))]
+            b = poly_trim([rng.randrange(p) for _ in range(rng.randint(1, 5))])
+            if not b:
+                continue
+            if rng.random() < 0.5:
+                b[-1] = 1  # monic half of the time, arbitrary otherwise
+            q, r = _poly_divmod(a, b, p)
+            assert len(r) < len(b)
+            qb = [0] * (len(q) + len(b))
+            for i, qi in enumerate(q):
+                for j, bj in enumerate(b):
+                    qb[i + j] += qi * bj
+            total = poly_trim([(x + (r[i] if i < len(r) else 0)) % p
+                               for i, x in enumerate(qb + [0] * len(a))])
+            assert total == poly_trim([c % p for c in a])
+    # a non-monic divisor with an exact quotient: (3x + 2)(5x^2 + 1) mod 7
+    assert _poly_divmod([2, 3, 10, 15], [2, 3], 7) == ([1, 0, 5], [])
 
 
 def test_split_examples(shanks1):

@@ -102,6 +102,17 @@ def test_every_definition_is_referenced():
     assert not dead, f"top-level definitions never referenced: {dead}"
 
 
+def test_only_fields_imports_roots():
+    """Every real-embedding sign decision goes through
+    FieldContext.sign_vector, so no module but fields uses the interval and
+    Q[x] kernels of roots directly."""
+    importers = sorted(
+        path.name for path in SRC.glob("*.py")
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+        if isinstance(node, ast.ImportFrom) and node.level == 1 and node.module == "roots")
+    assert importers == ["fields.py"]
+
+
 def test_lint_flags_a_missing_import(tmp_path):
     """The check itself: an undefined exception name and an unused import
     are both reported."""
