@@ -207,6 +207,9 @@ def run(argv=None, out=sys.stdout, err=sys.stderr) -> int:
     if args.config:
         defaults = _load_config(args.config)
         subparser = top._subparsers._group_actions[0].choices[args.command]
+        unread = sorted(set(defaults) - {a.dest for a in subparser._actions})
+        if unread:
+            top.error(f"config key(s) not read by {args.command}: {', '.join(unread)}")
         for action in subparser._actions:
             if action.dest in defaults:
                 raw = defaults[action.dest]

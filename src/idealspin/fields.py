@@ -34,8 +34,8 @@ from .roots import (
     _qdivmod,
     _qmul,
     _qtrim,
+    integer_coords,
     interval_eval,
-    interval_sign,
 )
 
 SHANKS_CUBIC = "shanks_cubic"
@@ -363,28 +363,37 @@ class FieldContext:
     # -- embeddings ---------------------------------------------------------
 
     def embedding_intervals(self, bits: int = INITIAL_BITS):
-        return self._roots.intervals(bits)
+        """Root enclosures as dyadic triples (A, C, B), embedding order."""
+        return self._roots.dyadic(bits)
 
     def interval_embeddings(self, element, bits: int = INITIAL_BITS):
         """Enclosures of all real embeddings of the element, embedding order."""
-        coords = [Fraction(c) for c in element.coords]
-        return [interval_eval(coords, iv) for iv in self.embedding_intervals(bits)]
+        coords, den = integer_coords(element.coords)
+        d = len(coords) - 1
+        out = []
+        for iv in self.embedding_intervals(bits):
+            lo, hi = interval_eval(coords, iv)
+            scale = den << (iv[2] * d)
+            out.append((Fraction(lo, scale), Fraction(hi, scale)))
+        return out
 
     def sign_vector(self, element) -> tuple[int, ...]:
         """Exact signs (+1/-1) of the element at every real embedding."""
         element = self.coerce(element)
         if element.is_zero():
             raise ValueError("sign_vector of zero")
-        coords = [Fraction(c) for c in element.coords]
+        coords = integer_coords(element.coords)[0]
         signs: list[int | None] = [None] * self.degree
         bits = INITIAL_BITS
         while True:
             ivs = self.embedding_intervals(bits)
             for k in range(self.degree):
                 if signs[k] is None:
-                    s = interval_sign(interval_eval(coords, ivs[k]))
-                    if s is not None and s != 0:
-                        signs[k] = s
+                    lo, hi = interval_eval(coords, ivs[k])
+                    if lo > 0:
+                        signs[k] = 1
+                    elif hi < 0:
+                        signs[k] = -1
             if all(s is not None for s in signs):
                 return tuple(signs)  # type: ignore[arg-type]
             if bits >= MAX_BITS:
@@ -663,7 +672,7 @@ def find_root_in_field(ctx, coeffs: tuple[int, ...]):
         other = RootIsolator(tuple(coeffs))
     except ValueError:
         return None  # repeated or complex roots: not this splitting field
-    y = _match_embeddings(ctx.poly, ctx.embedding_intervals, other.intervals, coeffs,
+    y = _match_embeddings(ctx.poly, ctx._roots.intervals, other.intervals, coeffs,
                           list(permutations(range(n))), (192, 384, 768, 1536))
     if y is None:
         return None

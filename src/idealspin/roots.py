@@ -6,12 +6,20 @@ The Q[x] helpers (``_qtrim``, ``_qmul``, ``_qdivmod``) are the library's one
 exact polynomial kernel over the rationals: the Sturm chains below and the
 field constructions in ``fields`` both use them.
 
-Roots are isolated with Sturm sequences and refined by dyadic bisection, so
-every interval endpoint is a dyadic rational.  Refinement is memoized and
-monotone: asking for more bits only ever shrinks the stored enclosures.
+Roots are isolated with Sturm sequences and refined by bisection, all on
+dyadic triples (A, C, B) that stand for the interval [A/2^B, C/2^B];
+``intervals`` derives Fraction pairs for callers that need rationals.
+Refinement is memoized and monotone: asking for more bits only ever shrinks
+the stored enclosures.
+
+``interval_eval`` is the certified sign kernel: interval Horner on integer
+numerators, which encloses 2^(B*d) * f on a triple (d the degree) without
+building a Fraction.  That is the rational enclosure times a positive
+number, so it decides every sign the same way.
 """
 
 from fractions import Fraction
+from math import lcm
 
 from .errors import PrecisionExhausted
 
@@ -67,20 +75,25 @@ def _sturm_chain(poly: list[Fraction]) -> list[list[Fraction]]:
     return chain
 
 
-def _eval(poly, x: Fraction) -> Fraction:
-    acc = Fraction(0)
-    for c in reversed(poly):
-        acc = acc * x + c
+def integer_coords(coeffs) -> tuple[list[int], int]:
+    """(D*coeffs, D) for D the positive lcm of the denominators."""
+    den = lcm(*(c.denominator for c in coeffs))
+    return [c.numerator * (den // c.denominator) for c in coeffs], den
+
+
+def _point_eval(coeffs, m: int, b: int) -> int:
+    """2^(b*d) * f(m/2^b) for integer coefficients, d the degree."""
+    acc, shift = coeffs[-1], b
+    for c in reversed(coeffs[:-1]):
+        acc = acc * m + (c << shift)
+        shift += b
     return acc
 
 
-def _variations(chain, x: Fraction) -> int:
-    signs = []
-    for f in chain:
-        v = _eval(f, x)
-        if v:
-            signs.append(1 if v > 0 else -1)
-    return sum(1 for a, b in zip(signs, signs[1:]) if a != b)
+def _variations(chain, m: int, b: int) -> int:
+    """Sign variations of an integer Sturm chain at m/2^b."""
+    signs = [v > 0 for v in (_point_eval(f, m, b) for f in chain) if v]
+    return sum(1 for s, t in zip(signs, signs[1:]) if s != t)
 
 
 class RootIsolator:
@@ -92,33 +105,32 @@ class RootIsolator:
 
     def __init__(self, coeffs: tuple[int, ...]):
         self.coeffs = tuple(coeffs)
-        poly = [Fraction(c) for c in coeffs]
-        self._chain = _sturm_chain(poly)
+        # positive multiples of the Sturm chain have the same sign variations
+        self._chain = [integer_coords(f)[0]
+                       for f in _sturm_chain([Fraction(c) for c in coeffs])]
         bound = 1 + max(abs(c) for c in coeffs[:-1]) if len(coeffs) > 1 else 1
-        n_roots = _variations(self._chain, Fraction(-bound)) - _variations(
-            self._chain, Fraction(bound)
-        )
+        n_roots = _variations(self._chain, -bound, 0) - _variations(self._chain, bound, 0)
         if n_roots != len(coeffs) - 1:
             raise ValueError("polynomial is not totally real / squarefree")
-        stack = [(Fraction(-bound), Fraction(bound), n_roots)]
+        stack = [(-bound, bound, 0, n_roots)]
         done = []
         while stack:
-            lo, hi, cnt = stack.pop()
+            a, c, b, cnt = stack.pop()
             if cnt == 0:
                 continue
             if cnt == 1:
-                done.append((lo, hi))
+                done.append((a, c, b))
                 continue
-            mid = (lo + hi) / 2
-            if _eval(poly, mid) == 0:
+            a, c, b, mid = 2 * a, 2 * c, b + 1, a + c  # mid/2^b halves [a, c]
+            if _point_eval(self.coeffs, mid, b) == 0:
                 # cannot happen for irreducible poly of degree >= 2;
                 # nudge the cut point to keep endpoints sign-definite
-                mid = (3 * lo + hi) / 4
-            left = _variations(self._chain, lo) - _variations(self._chain, mid)
-            stack.append((lo, mid, left))
-            stack.append((mid, hi, cnt - left))
-        done.sort(key=lambda iv: iv[0], reverse=True)
-        self._intervals = done
+                a, c, b, mid = 2 * a, 2 * c, b + 1, (3 * a + c) // 2
+            left = _variations(self._chain, a, b) - _variations(self._chain, mid, b)
+            stack.append((a, mid, b, left))
+            stack.append((mid, c, b, cnt - left))
+        done.sort(key=lambda iv: Fraction(iv[0], 1 << iv[2]), reverse=True)
+        self._dyadic = done
         self._bits = 0
         self.refine(INITIAL_BITS)
 
@@ -128,56 +140,49 @@ class RootIsolator:
             return
         if bits > MAX_BITS:
             raise PrecisionExhausted(f"refinement beyond {MAX_BITS} bits requested")
-        width = Fraction(1, 2**bits)
-        poly = [Fraction(c) for c in self.coeffs]
         new = []
-        for lo, hi in self._intervals:
-            slo = 1 if _eval(poly, lo) > 0 else -1
-            while hi - lo > width:
-                mid = (lo + hi) / 2
-                v = _eval(poly, mid)
+        for a, c, b in self._dyadic:
+            slo = _point_eval(self.coeffs, a, b) > 0
+            # width (c - a)/2^b > 2^-bits: bisect at (a + c)/2^(b+1)
+            while (c - a) << bits > 1 << b:
+                mid = a + c
+                b += 1
+                v = _point_eval(self.coeffs, mid, b)
                 if v == 0:
                     raise ArithmeticError("rational root in irreducible polynomial")
-                if (1 if v > 0 else -1) == slo:
-                    lo = mid
+                if (v > 0) == slo:
+                    a, c = mid, 2 * c
                 else:
-                    hi = mid
-            new.append((lo, hi))
-        self._intervals = new
+                    a, c = 2 * a, mid
+            new.append((a, c, b))
+        self._dyadic = new
         self._bits = bits
 
-    def intervals(self, bits: int = INITIAL_BITS) -> list[tuple[Fraction, Fraction]]:
+    def dyadic(self, bits: int = INITIAL_BITS) -> list[tuple[int, int, int]]:
+        """The enclosures as dyadic triples (A, C, B), width <= 2^-bits."""
         self.refine(bits)
-        return list(self._intervals)
+        return list(self._dyadic)
+
+    def intervals(self, bits: int = INITIAL_BITS) -> list[tuple[Fraction, Fraction]]:
+        return [(Fraction(a, 1 << b), Fraction(c, 1 << b)) for a, c, b in self.dyadic(bits)]
 
     @property
     def degree(self) -> int:
         return len(self.coeffs) - 1
 
 
-def interval_mul(a, b):
-    prods = (a[0] * b[0], a[0] * b[1], a[1] * b[0], a[1] * b[1])
-    return (min(prods), max(prods))
-
-
 def interval_eval(coeffs, iv):
-    """Evaluate a polynomial with exact rational coefficients on an interval
-    by Horner's rule; returns a rigorous enclosure of the range."""
-    acc = (Fraction(0), Fraction(0))
-    for c in reversed(coeffs):
-        acc = interval_mul(acc, iv)
-        acc = (acc[0] + c, acc[1] + c)
-    return acc
-
-
-def interval_sign(iv) -> int | None:
-    """+1/-1 if the enclosure is sign-definite, 0 if identically zero,
-    None if the sign is unresolved."""
-    lo, hi = iv
-    if lo > 0:
-        return 1
-    if hi < 0:
-        return -1
-    if lo == 0 and hi == 0:
-        return 0
-    return None
+    """Certified Horner on a dyadic interval iv = (A, C, B): for integer
+    coefficients, the integer pair (lo, hi) that is the exact
+    interval-arithmetic enclosure of 2^(B*d) * f([A/2^B, C/2^B]), d the
+    degree."""
+    a, c, b = iv
+    lo = hi = coeffs[-1]
+    shift = b
+    for k in reversed(coeffs[:-1]):
+        p, q, r, s = lo * a, lo * c, hi * a, hi * c
+        k <<= shift
+        lo = min(p, q, r, s) + k
+        hi = max(p, q, r, s) + k
+        shift += b
+    return lo, hi

@@ -287,6 +287,7 @@ def _enumerate_small_units(ctx, C: Fraction, enlarge: int = 0):
     if box > MAX_SMALL_UNIT_BOX:
         raise CostGuard(f"small-unit exponent box of {box} points exceeds "
                         f"{MAX_SMALL_UNIT_BOX}")
+    powers = [[g**m for m in range(-b, b + 1)] for g, b in zip(gens, bounds)]
     out = []
 
     def rec(i, acc):
@@ -297,9 +298,8 @@ def _enumerate_small_units(ctx, C: Fraction, enlarge: int = 0):
             if ctx.is_totally_positive(ctx.coerce(C) - u):
                 out.append(u)
             return
-        g = gens[i]
-        for m in range(-bounds[i], bounds[i] + 1):
-            rec(i + 1, acc * g**m)
+        for p in powers[i]:
+            rec(i + 1, acc * p)
 
     rec(0, ctx.one)
     uniq = {}
@@ -399,8 +399,7 @@ def domain_elements(dom: FundamentalDomain, X: int) -> list[tuple[int, ...]]:
     ctx = dom.ctx
     n = ctx.degree
     Ymax = _embedding_upper_bound(dom, X)
-    ivs = ctx.embedding_intervals(96)
-    mids = [float(lo + hi) / 2 for lo, hi in ivs]
+    mids = [(a + c) / (2 << b) for a, c, b in ctx.embedding_intervals(96)]
     # coordinate box: a = V^{-1} y with 0 < y_k <= Ymax
     V = [[mids[k] ** i for i in range(n)] for k in range(n)]
     Vinv = gauss_jordan(V, _float_identity(n))

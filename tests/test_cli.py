@@ -162,6 +162,16 @@ def test_config_file(tmp_path):
     assert len(out2.strip().splitlines()) == 3  # norms 7 and 8
 
 
+@pytest.mark.parametrize("key", ["max_nrom = 5", "workers = 2"])
+def test_config_key_not_read_by_command_is_usage_error(tmp_path, capsys, key):
+    cfg = tmp_path / "run.conf"
+    cfg.write_text(f"field = shanks:1\n{key}\n")
+    with pytest.raises(SystemExit) as exc:
+        run(["--config", str(cfg), "primes"], out=io.StringIO(), err=io.StringIO())
+    assert exc.value.code == 1
+    assert key.split()[0] in capsys.readouterr().err
+
+
 def test_vaughan_command():
     code, out, _ = run_cli("vaughan-verify", "--x", "100", "--sequence", "ones")
     lines = out.strip().splitlines()

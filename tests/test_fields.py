@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from math import lcm
 
 import pytest
 
@@ -14,7 +15,25 @@ from idealspin.fields import (
     poly_discriminant,
 )
 from idealspin.lattice import det, gauss_jordan
-from idealspin.roots import MAX_BITS, RootIsolator, interval_eval, interval_mul
+from idealspin.roots import MAX_BITS, RootIsolator, interval_eval
+
+
+def _interval_mul(a, b):
+    prods = (a[0] * b[0], a[0] * b[1], a[1] * b[0], a[1] * b[1])
+    return (min(prods), max(prods))
+
+
+def _ref_interval_eval(coeffs, iv):
+    """Reference kernel: interval Horner on Fraction endpoints."""
+    acc = (Fraction(0), Fraction(0))
+    for c in reversed(coeffs):
+        acc = _interval_mul(acc, iv)
+        acc = (acc[0] + c, acc[1] + c)
+    return acc
+
+
+def _fractions(triples):
+    return [(Fraction(a, 1 << b), Fraction(c, 1 << b)) for a, c, b in triples]
 
 
 def test_shanks_construction(shanks1):
@@ -96,19 +115,19 @@ def test_embedding_encloses_norm(shanks1):
         ivs = shanks1.interval_embeddings(e, 128)
         lo, hi = (Fraction(1), Fraction(1))
         for iv in ivs:
-            lo, hi = interval_mul((lo, hi), iv)
+            lo, hi = _interval_mul((lo, hi), iv)
         n = e.norm()
         assert lo <= n <= hi
 
 
 def test_embedding_order_decreasing(shanks1):
-    ivs = shanks1.embedding_intervals(64)
+    ivs = _fractions(shanks1.embedding_intervals(64))
     vals = [float(l + h) / 2 for l, h in ivs]
     assert vals == sorted(vals, reverse=True)
 
 
 def test_root_enclosures_disjoint_with_sign_change(shanks1):
-    ivs = shanks1.embedding_intervals(64)
+    ivs = _fractions(shanks1.embedding_intervals(64))
     for (lo1, hi1), (lo2, hi2) in zip(ivs, ivs[1:]):
         assert hi2 < lo1  # decreasing order, disjoint
     poly = [Fraction(c) for c in shanks1.poly]
@@ -121,6 +140,61 @@ def test_root_enclosures_disjoint_with_sign_change(shanks1):
 
     for lo, hi in ivs:
         assert ev(lo) * ev(hi) < 0
+
+
+def _random_coords(rng, n):
+    if rng.random() < 0.5:
+        return tuple(rng.randint(-2**20, 2**20) for _ in range(n))
+    return tuple(Fraction(rng.randint(-2**20, 2**20), rng.randint(1, 60)) for _ in range(n))
+
+
+def test_integer_kernel_matches_fraction_reference(shanks1, quad5):
+    """interval_eval's integer pair, divided by D * 2^(B*d), is exactly the
+    Fraction Horner enclosure; D clears the coordinate denominators."""
+    rng = random.Random(21)
+    lehmer = construct_field("lehmer_quintic", -1)
+    hand_made = [(-3, 5, 2), (-9, -4, 3), (7, 7, 4), (-1, 1, 0), (-5, 0, 1)]
+    for ctx in (shanks1, quad5, lehmer):
+        iso = RootIsolator(ctx.poly)
+        n = ctx.degree
+        for bits in (64, 96, 128, 512):
+            triples = iso.dyadic(bits)
+            assert _fractions(triples) == iso.intervals(bits)
+            assert all((c - a) << bits <= 1 << b for a, c, b in triples)
+            for iv in triples + hand_made:
+                for _ in range(6):
+                    coords = _random_coords(rng, n)
+                    D = lcm(*(Fraction(c).denominator for c in coords))
+                    lo, hi = interval_eval([int(c * D) for c in coords], iv)
+                    scale = D << (iv[2] * (n - 1))
+                    ref = _ref_interval_eval([Fraction(c) for c in coords],
+                                             _fractions([iv])[0])
+                    assert (Fraction(lo, scale), Fraction(hi, scale)) == ref
+        for _ in range(10):
+            e = ctx.element(_random_coords(rng, n))
+            refs = [_ref_interval_eval([Fraction(c) for c in e.coords], iv)
+                    for iv in _fractions(ctx.embedding_intervals(64))]
+            assert ctx.interval_embeddings(e, 64) == refs
+
+
+def test_sign_needing_more_than_64_bits():
+    """2^80 alpha - round(2^80 theta_2) changes sign within 2^-80 of the
+    second root, so its sign there needs a precision doubling."""
+    ctx = construct_field("shanks_cubic", 1)
+    assert ctx._roots._bits == 64
+    oracle = RootIsolator(ctx.poly)
+    lo, hi = oracle.intervals(512)[1]
+    q = round((lo + hi) / 2 * 2**80)
+    e = ctx.element((-q, 2**80, 0))
+    sv = ctx.sign_vector(e)
+    # t lies between the outer roots, where the monic cubic f is positive
+    # exactly on (theta_3, theta_2): there f(t) > 0 iff theta_2 > t
+    t = Fraction(q, 2**80)
+    ivs = oracle.intervals(64)
+    assert ivs[2][1] < t < ivs[0][0]
+    f_t = sum(c * t**i for i, c in enumerate(ctx.poly))
+    assert sv == (1, 1 if f_t > 0 else -1, -1)
+    assert ctx._roots._bits == 128
 
 
 def test_quadratic_units():

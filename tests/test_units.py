@@ -8,6 +8,7 @@ from idealspin.errors import NotTotallyPositive
 from idealspin.fields import construct_field
 from idealspin.ideals import prime_power_ideal, split_prime
 from idealspin.lattice import f2_echelon, f2_solve
+from idealspin.spin import spin_prime_stream
 from idealspin.units import (
     _enumerate_small_units,
     build_domain,
@@ -223,6 +224,33 @@ def test_class_counts(shanks1, dom1):
     # a class outside O/m cannot appear: counts accessed via count_in_domain
     c0 = count_in_domain(dom1, X, I7, shanks1.zero)
     assert c0 == hist[min(hist)] or c0 in hist.values()
+
+
+@pytest.mark.parametrize("name", ["shanks1", "quad5"])
+def test_census_contains_search_generators(request, name):
+    """Differential check of two pipelines: for every degree-one prime P of
+    norm p <= 2000, the census elements of norm p lying in P include the
+    canonical generator found by the lattice search, and there is exactly
+    one of them unless all of them lie on the domain boundary."""
+    ctx = request.getfixturevalue(name)
+    dom = request.getfixturevalue({"shanks1": "dom1", "quad5": "dom5"}[name])
+    X = 2000
+    by_norm: dict = {}
+    for coords in domain_elements(dom, X):
+        by_norm.setdefault(ctx.norm_coords(coords), []).append(coords)
+    checked = boundary = 0
+    for kind, rec in spin_prime_stream(ctx, dom, X, degree_one_only=True):
+        assert kind == "record", rec
+        p, r = rec.prime.p, rec.prime.r
+        in_prime = [c for c in by_norm.get(p, [])
+                    if sum(ci * r**i for i, ci in enumerate(c)) % p == 0]
+        assert rec.generator.coords in in_prime, rec.prime
+        if len(in_prime) > 1:
+            assert all(domain_contains(dom, ctx.element(c)) == "boundary"
+                       for c in in_prime), rec.prime
+            boundary += 1
+        checked += 1
+    assert (checked, boundary) == {"shanks1": (292, 1), "quad5": (293, 1)}[name]
 
 
 def test_embedding_size_comparability(shanks1, dom1):
