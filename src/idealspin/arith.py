@@ -153,20 +153,21 @@ def poly_mulmod(a: list[int], b: list[int], f: list[int], p: int) -> list[int]:
     for i, ai in enumerate(a):
         if ai:
             for j, bj in enumerate(b):
-                prod[i + j] = (prod[i + j] + ai * bj) % p
+                prod[i + j] += ai * bj
     return poly_modred(prod, f, p)
 
 
 def poly_modred(a: list[int], f: list[int], p: int) -> list[int]:
+    """a mod (f, p), trimmed; f monic mod p.  Each coefficient is reduced
+    mod p once, when it is final."""
     n = len(f) - 1
-    a = [c % p for c in a]
+    a = list(a)
     for d in range(len(a) - 1, n - 1, -1):
-        c = a[d]
+        c = a[d] % p
         if c:
-            a[d] = 0
             for k in range(n):
-                a[d - n + k] = (a[d - n + k] - c * f[k]) % p
-    return poly_trim(a[: max(len(a), 1)])
+                a[d - n + k] -= c * f[k]
+    return poly_trim([c % p for c in a[:n]])
 
 
 def poly_powmod(a: list[int], e: int, f: list[int], p: int) -> list[int]:
@@ -231,11 +232,7 @@ def poly_roots_modp(f: list[int], p: int) -> list[int]:
     xp = poly_powmod([0, 1], p, f, p)
     xp_minus_x = list(xp) + [0] * (2 - len(xp))
     xp_minus_x[1] = (xp_minus_x[1] - 1) % p
-    g = poly_gcd_modp(xp_minus_x, f, p)
-    roots: list[int] = []
-    _split_linear(g, p, roots)
-    roots.sort()
-    return roots
+    return sorted(split_linear(poly_gcd_modp(xp_minus_x, f, p), p))
 
 
 def _sqrt_modp(a: int, p: int) -> int:
@@ -276,28 +273,29 @@ def _poly_eval_modp(f: list[int], x: int, p: int) -> int:
     return acc
 
 
-def _split_linear(g: list[int], p: int, out: list[int]) -> None:
-    # g is a squarefree product of distinct linear factors mod p.
+def split_linear(g: list[int], p: int):
+    """Yield the roots of g, a squarefree product of distinct linear factors
+    mod p, splitting with deterministic shifts.  The smaller factor of each
+    split is searched first, so the first root comes cheaply."""
     deg = len(g) - 1
     if deg <= 0:
         return
     if deg == 1:
         # monic x + c -> root -c; normalize first
-        inv = pow(g[1], -1, p)
-        out.append(-g[0] * inv % p)
+        yield -g[0] * pow(g[1], -1, p) % p
         return
     if g[0] == 0:
-        out.append(0)
-        _split_linear(poly_trim([c for c in g[1:]]), p, out)
+        yield 0
+        yield from split_linear(poly_trim(g[1:]), p)
         return
-    # deterministic shifts: gcd((x+c)^((p-1)/2) - 1, g) splits eventually
+    # gcd((x+c)^((p-1)/2) - 1, g) splits g for some shift c
     for c in range(p):
         h = poly_powmod([c, 1], (p - 1) // 2, g, p)
         h = list(h) + [0] * (1 - len(h))
         h[0] = (h[0] - 1) % p
         d = poly_gcd_modp(h, g, p)
         if 0 < len(d) - 1 < deg:
-            _split_linear(d, p, out)
-            _split_linear(_poly_divmod(g, d, p)[0], p, out)
+            for part in sorted((d, _poly_divmod(g, d, p)[0]), key=len):
+                yield from split_linear(part, p)
             return
     raise ArithmeticError("root splitting failed")

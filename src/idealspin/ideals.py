@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, isqrt
 
-from .arith import factorint, iroot_ceil, poly_roots_modp, sieve_primes
+from .arith import factorint, iroot_ceil, poly_powmod, poly_roots_modp, sieve_primes, split_linear
 from .errors import GeneratorNotFound
 from .lattice import hnf_contains, hnf_det, lattice_product, lll_reduce, short_vectors
 from .logcomb import LogCombination
@@ -107,14 +107,21 @@ def split_prime(ctx, p: int) -> list[PrimeIdealData]:
     """Factor p in the field: split / inert / totally ramified.
 
     Valid at primes not dividing the index of the power-basis order; with
-    maximal_order_verified this means every prime.
+    maximal_order_verified this means every prime.  For degree >= 3 and an
+    unramified p >= 60 the field, cyclic of prime degree, splits p
+    completely or keeps it inert: one x^p powmod decides which, and the
+    roots are one root's Galois orbit.
     """
     cache = _split_caches.setdefault(ctx, {})
     got = cache.get(p)
     if got is not None:
         return got
     n = ctx.degree
-    roots = poly_roots_modp(list(ctx.poly), p)
+    roots = None
+    if n >= 3 and p >= 60 and ctx.disc_field % p:
+        roots = _orbit_roots(ctx, p)
+    if roots is None:
+        roots = poly_roots_modp(list(ctx.poly), p)
     if len(roots) == n:
         out = [PrimeIdealData(p, 1, 1, r, i) for i, r in enumerate(sorted(roots))]
     elif not roots:
@@ -129,6 +136,23 @@ def split_prime(ctx, p: int) -> list[PrimeIdealData]:
         )
     cache[p] = out
     return out
+
+
+def _orbit_roots(ctx, p: int) -> list[int] | None:
+    """The roots of the defining polynomial mod an unramified p: none, or
+    the Galois orbit of one root.  None when p divides a denominator of
+    sigma^k(alpha)."""
+    f = [c % p for c in ctx.poly]
+    if poly_powmod([0, 1], p, f, p) != [0, 1]:
+        return []
+    r = next(split_linear(f, p))
+    try:
+        roots = {eval_coords_mod_p(sk[1], r, p) for sk in ctx.automorphisms}
+    except ZeroDivisionError:
+        return None
+    if len(roots) != ctx.degree:
+        raise ArithmeticError(f"Galois orbit of a root mod {p} is not {ctx.degree} roots")
+    return sorted(roots)
 
 
 def galois_prime(ctx, prime: PrimeIdealData, k: int) -> PrimeIdealData:
@@ -242,8 +266,21 @@ def prime_lattice_rows(ctx, prime: PrimeIdealData):
 
 def ideal_lattice(ctx, ideal: IdealFactorization):
     """Upper-triangular HNF basis of the ideal as a Z-lattice in the power
-    basis coordinates."""
+    basis coordinates.  A prime ideal to the first power has a closed form:
+    p*I when inert, and for (p, alpha - r) with r != 0 mod p the rows
+    alpha^i - r^(i-n+1) alpha^(n-1) (last entry reduced mod p) and
+    p*alpha^(n-1)."""
     n = ctx.degree
+    if len(ideal.factors) == 1 and ideal.factors[0][1] == 1:
+        pr = ideal.factors[0][0]
+        p = pr.p
+        if pr.f == n:
+            return [[p if i == j else 0 for j in range(n)] for i in range(n)]
+        if pr.r % p:
+            inv = pow(pr.r, -1, p)
+            rows = [[1 if i == j else 0 for j in range(n - 1)]
+                    + [-pow(inv, n - 1 - i, p) % p] for i in range(n - 1)]
+            return rows + [[0] * (n - 1) + [p]]
     rows = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
     for pr, k in ideal.factors:
         plat = prime_lattice_rows(ctx, pr)

@@ -255,8 +255,11 @@ def lll_reduce(ctx, rows):
 
 def short_vectors(ctx, basis, bound):
     """All nonzero lattice vectors v (up to sign) with Q(v) <= bound, where
-    Q is the trace form.  Basis should be LLL-reduced first.  Deterministic
-    order.  Floats steer the recursion; every candidate is verified exactly.
+    Q is the trace form, each with its first nonzero coordinate positive,
+    as a sorted list.  Basis should be LLL-reduced first.  Only one of each
+    +-x coefficient pair is enumerated: x_i >= 0 while every higher x_j is
+    0; the float pruning is symmetric under x -> -x, so no vector is lost.
+    Floats steer the recursion; every candidate is verified exactly.
     """
     n = len(basis)
     d, lam = _integral_gso(gram(ctx, basis))
@@ -266,10 +269,11 @@ def short_vectors(ctx, basis, bound):
     out = []
     x = [0] * n
 
-    def recurse(i, rem, center_shift):
-        # rem: remaining float budget; center_shift[j] = sum_{l>i} x_l mu[l][j]
+    def recurse(i, rem, center_shift, free):
+        # rem: remaining float budget; center_shift[j] = sum_{l>i} x_l mu[l][j];
+        # free: some higher x_l is nonzero, so x_i may be negative
         if i < 0:
-            if all(v == 0 for v in x):
+            if not free:
                 return
             vec = [0] * ctx.degree
             for j in range(n):
@@ -291,7 +295,7 @@ def short_vectors(ctx, basis, bound):
         radius = (max(rem, 0.0) / Bf[i]) ** 0.5 + 1.0
         lo = int(center - radius) - 1
         hi = int(center + radius) + 1
-        for xi in range(lo, hi + 1):
+        for xi in range(lo if free else max(lo, 0), hi + 1):
             x[i] = xi
             d = xi - center
             rem2 = rem - Bf[i] * d * d
@@ -300,16 +304,8 @@ def short_vectors(ctx, basis, bound):
             shift2 = list(center_shift)
             for j in range(i):
                 shift2[j] += xi * q[i][j]
-            recurse(i - 1, rem2, shift2)
+            recurse(i - 1, rem2, shift2, free or xi != 0)
         x[i] = 0
 
-    recurse(n - 1, float(bound) * (1.0 + 1e-9) + 1.0, [0.0] * n)
-    # dedupe +-v pairs that both normalized to the same tuple
-    seen = set()
-    uniq = []
-    for v in out:
-        if v not in seen:
-            seen.add(v)
-            uniq.append(v)
-    uniq.sort()
-    return uniq
+    recurse(n - 1, float(bound) * (1.0 + 1e-9) + 1.0, [0.0] * n, False)
+    return sorted(set(out))

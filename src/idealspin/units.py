@@ -11,7 +11,8 @@ trace bilinear forms.
 import weakref
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import log
+from math import floor, log
+from operator import mul
 
 from .errors import CostGuard, NotTotallyPositive, SearchBoundExceeded, SignSystemSingular
 from .fields import FieldElement
@@ -340,36 +341,40 @@ def domain_contains(dom: FundamentalDomain, e: FieldElement) -> str:
 def reduce_to_domain(dom: FundamentalDomain, e: FieldElement) -> FieldElement:
     """The canonical representative of e under the totally positive unit
     action: minimal trace, then lexicographically smallest coordinates among
-    equal-trace boundary mates."""
+    equal-trace boundary mates.
+
+    Descent takes the first trace-lowering move in dom.moves order, from
+    the traces T(u*x) of all moves, computed once per step; the last step's
+    traces seed the search of the equal-trace component."""
     ctx = dom.ctx
     if e.is_zero():
         raise NotTotallyPositive("cannot reduce zero")
     if not ctx.is_totally_positive(e):
         raise NotTotallyPositive("reduce_to_domain needs a totally positive element")
     moves, move_rows = dom.moves, dom.move_rows
+
+    def traces(x):
+        return [sum(map(mul, row, x.coords)) for row in move_rows]
+
     cur = e
     t = _dot(dom.identity_row, cur.coords)
-    improved = True
-    while improved:
-        improved = False
-        for u, row in zip(moves, move_rows):
-            v = _dot(row, cur.coords)
-            if v < t:
-                cur = u * cur
-                t = v
-                improved = True
-                break
+    while True:
+        vals = traces(cur)
+        k = next((k for k, v in enumerate(vals) if v < t), None)
+        if k is None:
+            break
+        cur, t = moves[k] * cur, vals[k]
     # equal-trace component on the boundary: pick the lex-smallest mate
     component = {cur.coords: cur}
-    frontier = [cur]
+    frontier = [(cur, vals)]
     while frontier:
-        x = frontier.pop()
-        for u, row in zip(moves, move_rows):
-            if _dot(row, x.coords) == t:
+        x, xvals = frontier.pop()
+        for u, v in zip(moves, xvals):
+            if v == t:
                 y = u * x
                 if y.coords not in component:
                     component[y.coords] = y
-                    frontier.append(y)
+                    frontier.append((y, traces(y)))
     best = min(component)
     return component[best]
 
@@ -405,12 +410,13 @@ def domain_elements(dom: FundamentalDomain, X: int) -> list[tuple[int, ...]]:
     Vinv = gauss_jordan(V, _float_identity(n))
     Yf = float(Ymax)
     bounds = [int(sum(abs(Vinv[i][k]) for k in range(n)) * Yf * 1.05) + 2 for i in range(n)]
-    rows_delta = [tuple(w - t for w, t in zip(row, dom.identity_row)) for row in dom.trace_rows]
+    # every closed-domain inequality T(u x) >= T(x) has a positive a0
+    # coefficient c0 = T(u) - n; split each into (c0, the rest of the row)
+    ident = dom.identity_row
+    bound_rows = [(row[0] - ident[0], [w - t for w, t in zip(row[1:], ident[1:])])
+                  for row in dom.trace_rows]
     out: list[tuple[int, ...]] = []
     coords = [0] * n
-
-    def exact_ceil_div(num, den):
-        return -((-num) // den)  # den > 0
 
     logX = float(X) * 1.0001 + 1.0
 
@@ -419,18 +425,17 @@ def domain_elements(dom: FundamentalDomain, X: int) -> list[tuple[int, ...]]:
         # minimal over the ray; skip the pair when even that exceeds X
         tails = [sum(coords[j] * mids[k] ** j for j in range(1, n)) for k in range(n)]
         est = max(-t for t in tails)
-        a0f = int(est) + 1
+        a0f = floor(est) + 1
         prod = 1.0
         for t in tails:
             prod *= max(a0f + t, 0.25)
         if prod > 4.0 * logX:
             return
-        # exact lower bounds: every closed-domain inequality has a positive
-        # a0 coefficient T(u) - n, so each yields a0 >= ceil(-s / c0)
+        # exact lower bounds: c0 a0 + s >= 0 gives a0 >= ceil(-s / c0)
         lo = int(est) - 2
-        for dr in rows_delta:
-            s = sum(dr[j] * coords[j] for j in range(1, n))
-            b = exact_ceil_div(-s, dr[0])
+        tail = coords[1:]
+        for c0, tail_row in bound_rows:
+            b = -(sum(map(mul, tail_row, tail)) // c0)
             if b > lo:
                 lo = b
         a0 = lo

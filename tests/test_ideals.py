@@ -2,11 +2,20 @@ import random
 
 import pytest
 
-from idealspin.arith import _poly_divmod, poly_roots_modp, poly_trim, sieve_primes
+from idealspin.arith import (
+    _poly_divmod,
+    poly_modred,
+    poly_mulmod,
+    poly_powmod,
+    poly_roots_modp,
+    poly_trim,
+    sieve_primes,
+)
 from idealspin.errors import GeneratorNotFound
 from idealspin.fields import construct_field
 from idealspin.ideals import (
     UNIT_IDEAL,
+    _orbit_roots,
     apply_galois_ideal,
     element_in_ideal,
     enumerate_ideals,
@@ -19,12 +28,13 @@ from idealspin.ideals import (
     make_ideal,
     mangoldt,
     moebius,
+    prime_lattice_rows,
     prime_power_ideal,
     residue_of,
     split_prime,
     tau,
 )
-from idealspin.lattice import hnf_det
+from idealspin.lattice import hnf_det, lattice_product
 from idealspin.logcomb import LogCombination
 
 
@@ -69,6 +79,80 @@ def test_poly_divmod_identity():
             assert total == poly_trim([c % p for c in a])
     # a non-monic divisor with an exact quotient: (3x + 2)(5x^2 + 1) mod 7
     assert _poly_divmod([2, 3, 10, 15], [2, 3], 7) == ([1, 0, 5], [])
+
+
+def _naive_mulmod(a, b, f):
+    """a*b over Z, then its remainder by the monic f over Z."""
+    prod = [0] * (len(a) + len(b) - 1) if a and b else []
+    for i, ai in enumerate(a):
+        for j, bj in enumerate(b):
+            prod[i + j] += ai * bj
+    n = len(f) - 1
+    for d in range(len(prod) - 1, n - 1, -1):
+        c = prod[d]
+        for k in range(n + 1):
+            prod[d - n + k] -= c * f[k]
+    return prod[:n]
+
+
+@pytest.mark.parametrize("p", [2, 3, 61, 461, 2**31 - 1])
+def test_poly_mulmod_matches_naive(p):
+    """The product reduces mod p only once per output coefficient; it must
+    equal reducing mod f over Z and then mod p, for negative and unreduced
+    inputs and moduli f with negative coefficients."""
+    rng = random.Random(p)
+    for _ in range(300):
+        n = rng.randint(1, 6)
+        f = [rng.randint(-50, 50) for _ in range(n)] + [1]
+        size = rng.choice((5, p, 10**12))
+        a, b = ([rng.randint(-size, size) for _ in range(rng.randint(0, 2 * n))]
+                for _ in range(2))
+        want = poly_trim([c % p for c in _naive_mulmod(a, b, f)])
+        assert poly_mulmod(a, b, f, p) == want, (a, b, f)
+        assert poly_modred(a, f, p) == poly_trim([c % p for c in _naive_mulmod(a, [1], f)])
+        e = rng.randint(0, 9)
+        acc = [1]
+        for _ in range(e):
+            acc = _naive_mulmod(acc, a, f)
+        assert poly_powmod(a, e, f, p) == poly_trim([c % p for c in acc]), (a, e, f)
+
+
+@pytest.mark.parametrize("family,param,limit", [
+    ("shanks_cubic", 1, 30000), ("shanks_cubic", 4, 30000), ("shanks_cubic", 5, 30000),
+    ("shanks_cubic", 7, 30000), ("lehmer_quintic", -1, 3000),
+])
+def test_orbit_roots_match_poly_roots_modp(family, param, limit):
+    """split_prime's Galois-orbit roots against the general root finder at
+    every prime where the orbit path applies (p >= 60, p unramified)."""
+    ctx = construct_field(family, param)
+    f = list(ctx.poly)
+    split = 0
+    for p in sieve_primes(limit, lo=60):
+        if ctx.disc_field % p == 0:
+            continue
+        roots = _orbit_roots(ctx, p)
+        assert roots == poly_roots_modp(f, p), p
+        assert [pr.r for pr in split_prime(ctx, p)] == (roots or [None]), p
+        split += bool(roots)
+    assert split > len(sieve_primes(limit, lo=60)) // (2 * ctx.degree)
+
+
+@pytest.mark.parametrize("family,param", [
+    ("shanks_cubic", 1), ("real_quadratic", 5), ("lehmer_quintic", -1), ("real_quadratic", 13),
+])
+def test_ideal_lattice_closed_form_matches_hnf(family, param):
+    """The closed-form HNF of a prime ideal against the HNF of the products
+    of its generators with the power basis, the path every ideal took
+    before.  quad:13 has the root r = 0 at p = 3, which keeps that path."""
+    ctx = construct_field(family, param)
+    n = ctx.degree
+    identity = [[int(i == j) for j in range(n)] for i in range(n)]
+    zero_roots = 0
+    for pr in enumerate_prime_ideals(ctx, 3000):
+        want = lattice_product(ctx, identity, prime_lattice_rows(ctx, pr))
+        assert ideal_lattice(ctx, prime_power_ideal(pr)) == want, pr
+        zero_roots += pr.f == 1 and pr.r % pr.p == 0
+    assert zero_roots == (1 if param == 13 else 0)
 
 
 def test_split_examples(shanks1):

@@ -1,4 +1,5 @@
-"""The integral LLL against the Fraction LLL it replaced."""
+"""The integral LLL against the Fraction LLL it replaced, and the half-space
+short-vector enumeration against the full-space one."""
 
 import random
 from fractions import Fraction
@@ -6,8 +7,23 @@ from fractions import Fraction
 import pytest
 
 from idealspin.fields import construct_field
-from idealspin.ideals import enumerate_prime_ideals, ideal_lattice, make_ideal, split_prime
-from idealspin.lattice import _round_div, gram, hnf, lll_reduce
+from idealspin.arith import iroot_ceil
+from idealspin.ideals import (
+    enumerate_ideals,
+    enumerate_prime_ideals,
+    ideal_lattice,
+    make_ideal,
+    split_prime,
+)
+from idealspin.lattice import (
+    _integral_gso,
+    _round_div,
+    _trace_dot,
+    gram,
+    hnf,
+    lll_reduce,
+    short_vectors,
+)
 
 
 def _gso_from_gram(G):
@@ -110,3 +126,76 @@ def test_lll_matches_fraction_lll_on_skewed_bases(shanks1):
             got = lll_reduce(ctx, rows)
             assert got == _fraction_lll(ctx, rows), pr
             _assert_lll_reduced(ctx, rows, got)
+
+
+def _full_space_short_vectors(ctx, basis, bound):
+    """Reference: the enumeration before the half-space cut.  It walks both
+    x and -x, normalizes each vector's sign and drops the duplicates."""
+    n = len(basis)
+    d, lam = _integral_gso(gram(ctx, basis))
+    q = [[lam[i][j] / d[j + 1] for j in range(n)] for i in range(n)]
+    Bf = [d[i + 1] / d[i] for i in range(n)]
+    out = []
+    x = [0] * n
+
+    def recurse(i, rem, center_shift):
+        if i < 0:
+            if all(v == 0 for v in x):
+                return
+            vec = [0] * ctx.degree
+            for j in range(n):
+                if x[j]:
+                    for t in range(ctx.degree):
+                        vec[t] += x[j] * basis[j][t]
+            if _trace_dot(ctx.trace_form, vec, vec) <= bound:
+                for v in vec:
+                    if v:
+                        if v < 0:
+                            vec = [-t for t in vec]
+                        break
+                out.append(tuple(vec))
+            return
+        center = -center_shift[i]
+        radius = (max(rem, 0.0) / Bf[i]) ** 0.5 + 1.0
+        lo = int(center - radius) - 1
+        hi = int(center + radius) + 1
+        for xi in range(lo, hi + 1):
+            x[i] = xi
+            dd = xi - center
+            rem2 = rem - Bf[i] * dd * dd
+            if rem2 < -1.0:
+                continue
+            shift2 = list(center_shift)
+            for j in range(i):
+                shift2[j] += xi * q[i][j]
+            recurse(i - 1, rem2, shift2)
+        x[i] = 0
+
+    recurse(n - 1, float(bound) * (1.0 + 1e-9) + 1.0, [0.0] * n)
+    seen = set()
+    uniq = []
+    for v in out:
+        if v not in seen:
+            seen.add(v)
+            uniq.append(v)
+    uniq.sort()
+    return uniq
+
+
+@pytest.mark.parametrize("fixture,X", [("shanks1", 3000), ("quad5", 3000), ("lehmer", 400)])
+def test_half_space_short_vectors_match_full_space(fixture, X, request):
+    """Every ideal of norm <= X, at the generator search's bounds for kappa
+    in {1, 4, 16}: the same list, element for element."""
+    ctx = (construct_field("lehmer_quintic", -1) if fixture == "lehmer"
+           else request.getfixturevalue(fixture))
+    n = ctx.degree
+    cases = vectors = 0
+    for ideal in enumerate_ideals(ctx, X)[1:]:
+        basis = lll_reduce(ctx, ideal_lattice(ctx, ideal))
+        base = n * iroot_ceil(ideal.norm**2, n)
+        for kappa in (1, 4, 16):
+            got = short_vectors(ctx, basis, kappa * base)
+            assert got == _full_space_short_vectors(ctx, basis, kappa * base), (ideal, kappa)
+            cases += 1
+            vectors += len(got)
+    assert vectors > cases

@@ -1,6 +1,8 @@
 import random
 from fractions import Fraction
+from bisect import bisect_left
 from itertools import product
+from math import comb
 
 import pytest
 
@@ -9,8 +11,12 @@ from idealspin.fields import construct_field
 from idealspin.ideals import prime_power_ideal, split_prime
 from idealspin.lattice import f2_echelon, f2_solve
 from idealspin.spin import spin_prime_stream
+from idealspin.lattice import gauss_jordan
 from idealspin.units import (
+    _dot,
+    _embedding_upper_bound,
     _enumerate_small_units,
+    _float_identity,
     build_domain,
     count_in_domain,
     domain_class_counts,
@@ -265,3 +271,110 @@ def test_embedding_size_comparability(shanks1, dom1):
         for lo, hi in shanks1.interval_embeddings(e, 96):
             assert hi**n >= lo_c**n * nrm
             assert lo**n <= twoU**n * nrm
+
+
+def _reference_reduce(dom, e):
+    """Reference: the descent before the one-pass rewrite.  It recomputes
+    each move's trace until the first improving one, and the component
+    search recomputes the traces of the final element."""
+    moves, move_rows = dom.moves, dom.move_rows
+    cur = e
+    t = _dot(dom.identity_row, cur.coords)
+    improved = True
+    while improved:
+        improved = False
+        for u, row in zip(moves, move_rows):
+            v = _dot(row, cur.coords)
+            if v < t:
+                cur = u * cur
+                t = v
+                improved = True
+                break
+    component = {cur.coords: cur}
+    frontier = [cur]
+    while frontier:
+        x = frontier.pop()
+        for u, row in zip(moves, move_rows):
+            if _dot(row, x.coords) == t:
+                y = u * x
+                if y.coords not in component:
+                    component[y.coords] = y
+                    frontier.append(y)
+    return component[min(component)]
+
+
+@pytest.mark.parametrize("name", ["shanks1", "shanks4", "quad5"])
+def test_reduce_to_domain_matches_reference(request, name):
+    """500 random totally positive elements, the census's boundary elements
+    of norm <= 200, and a unit-square multiple of each."""
+    if name == "shanks4":
+        ctx = construct_field("shanks_cubic", 4)
+        dom = build_domain(ctx)
+    else:
+        ctx = request.getfixturevalue(name)
+        dom = request.getfixturevalue({"shanks1": "dom1", "quad5": "dom5"}[name])
+    gens = [u for u in ctx.unit_generators if u != ctx.coerce(-1)]
+    rng = random.Random(17)
+    # boundary elements have equal-trace mates, so the component search runs
+    samples = [tp_sample(ctx, rng) for _ in range(500)]
+    samples += [ctx.element(c) for c in domain_elements(dom, 200)
+                if domain_contains(dom, ctx.element(c)) == "boundary"]
+    for e in samples:
+        u = ctx.one
+        for g in gens:
+            u = u * g ** rng.randint(-2, 2)
+        for x in (e, e * u * u):
+            assert reduce_to_domain(dom, x) == _reference_reduce(dom, x), x
+
+
+def _census_oracle(dom, X, slack=1.25):
+    """Every totally positive closed-domain element of norm <= X inside a
+    box `slack` times the census's coordinate box.  For each tail
+    (a1, ..., a_{n-1}) the elementary symmetric functions e_j of the
+    embeddings of a0 + tail are exact integer polynomials in a0; total
+    positivity is e_j > 0 for all j (the field is totally real), which holds
+    on a ray of a0 where the norm e_n increases.  The ray's start is found
+    by bisection over the whole a0 range, then each point is confirmed with
+    is_totally_positive, the exact norm and domain_contains."""
+    ctx = dom.ctx
+    n = ctx.degree
+    Y = float(_embedding_upper_bound(dom, X))
+    mids = [(a + c) / (2 << b) for a, c, b in ctx.embedding_intervals(96)]
+    Vinv = gauss_jordan([[m**i for i in range(n)] for m in mids], _float_identity(n))
+    box = [int(sum(abs(v) for v in Vinv[i]) * Y * slack) + 3 for i in range(n)]
+    out = []
+    for tail in product(*(range(-b, b + 1) for b in box[1:])):
+        beta = (0,) + tail
+        # power sums of beta's embeddings, then Newton's identities
+        psum, power = [], ctx.one.coords
+        for _ in range(n):
+            power = ctx.mul_coords(power, beta)
+            psum.append(ctx.trace_coords(power))
+        E = [1]
+        for k in range(1, n + 1):
+            E.append(sum((-1) ** (i - 1) * E[k - i] * psum[i - 1] for i in range(1, k + 1)) // k)
+        esym = [[comb(n - i, j - i) * E[i] for i in range(j + 1)] for j in range(1, n + 1)]
+
+        def e_at(j, a0):  # e_j(a0 + beta) = sum_i C(n-i, j-i) a0^(j-i) E_i
+            return sum(c * a0 ** (j - i) for i, c in enumerate(esym[j - 1]))
+
+        def positive(a0):
+            return all(e_at(j, a0) > 0 for j in range(1, n + 1))
+
+        a0s = range(-box[0], box[0] + 1)
+        for a0 in a0s[bisect_left(a0s, True, key=positive):]:
+            if e_at(n, a0) > X:
+                break
+            e = ctx.element((a0,) + tail)
+            assert ctx.is_totally_positive(e) and 1 <= e.norm() <= X
+            if domain_contains(dom, e) != "outside":
+                out.append(e.coords)
+    return sorted(out)
+
+
+@pytest.mark.parametrize("name,X", [("shanks1", 300), ("quad5", 5000)])
+def test_census_matches_exhaustive_oracle(request, name, X):
+    dom = request.getfixturevalue({"shanks1": "dom1", "quad5": "dom5"}[name])
+    want = _census_oracle(dom, X)
+    assert len(want) > 50
+    assert domain_elements(dom, X) == want
