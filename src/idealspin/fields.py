@@ -7,6 +7,12 @@ Three families are supported:
 * ``real_quadratic(d)`` -- Q(sqrt d) for squarefree d = 1 mod 4 whose
   fundamental unit has norm -1.
 
+The power basis of every FieldContext is the ring of integers: the
+constructor computes the polynomial discriminant, proves p-maximality by
+Dedekind's criterion at each p with p^2 | disc, and raises
+HypothesisViolated otherwise.  Prime splitting, ideal lattices and the
+generator search rely on this.
+
 All element arithmetic is exact (integer or Fraction coordinates in the
 power basis).  Real embeddings are certified interval enclosures, and
 ``FieldContext.sign_vector`` is the one path by which the library decides
@@ -18,7 +24,7 @@ exactly or raises PrecisionExhausted.  Exact Q[x] arithmetic lives in
 from fractions import Fraction
 from math import isqrt
 
-from .arith import is_prime, squarefree
+from .arith import factorint, is_prime, p_maximal, squarefree
 from .errors import (
     EvenDiscriminant,
     HypothesisViolated,
@@ -185,15 +191,18 @@ class FieldContext:
     real value, so index 0 is the largest embedding.
     """
 
-    def __init__(self, family, param, poly, sigma_alpha_coords, unit_gen_coords,
-                 class_number_assumption, maximal_order_verified, disc_field):
+    def __init__(self, family, param, poly, sigma_alpha_coords, unit_gen_coords):
         self.family = family
         self.param = param
         self.poly = tuple(int(c) for c in poly)
         self.degree = len(poly) - 1
-        self.class_number_assumption = class_number_assumption
-        self.maximal_order_verified = maximal_order_verified
-        self.disc_field = disc_field
+        self.disc_field = poly_discriminant(self.poly)
+        for p, e in factorint(self.disc_field).items():
+            if e >= 2 and not p_maximal(self.poly, p):
+                raise HypothesisViolated(
+                    f"the power basis of {family}({param}) is not the maximal "
+                    f"order at p = {p}"
+                )
         n = self.degree
 
         # alpha^d for d in [n, 2n-2], reduced; integer since poly is monic
@@ -413,13 +422,6 @@ class FieldContext:
             raise ValueError("residue of a non-integral element")
         return tuple(int(c) % modulus for c in element.coords)
 
-    def assert_maximal(self, what: str) -> None:
-        if not self.maximal_order_verified:
-            raise HypothesisViolated(
-                f"{what} requires the power basis to be the maximal order "
-                f"(not verified for {self.family}({self.param}))"
-            )
-
     def __repr__(self):
         return f"FieldContext({self.family}, {self.param})"
 
@@ -439,13 +441,9 @@ def _rational_roots_excluded(poly) -> None:
             raise IrreduciblePolyFailure(f"rational root {r}")
 
 
-def _shanks_context(m: int, h: int) -> FieldContext:
+def _shanks_context(m: int) -> FieldContext:
     poly = (-1, m - 3, m, 1)
     _rational_roots_excluded(poly)
-    delta = m * m - 3 * m + 9
-    disc = poly_discriminant(poly)
-    if disc != delta * delta:
-        raise ArithmeticError("discriminant identity failed")  # pragma: no cover
     # sigma(alpha) = -1/(1+alpha): f(-1/(1+x))*(1+x)^3 = -f(x), so it is a
     # root; integral because N(1+alpha) = -f(-1) = -1
     one_plus = _field_inverse(poly, (1, 1, 0))
@@ -453,14 +451,13 @@ def _shanks_context(m: int, h: int) -> FieldContext:
     ctx = FieldContext(
         SHANKS_CUBIC, m, poly, sigma_alpha,
         unit_gen_coords=[(-1, 0, 0), (0, 1, 0), sigma_alpha],
-        class_number_assumption=h,
-        maximal_order_verified=squarefree(delta),
-        disc_field=disc,
     )
+    if ctx.disc_field != (m * m - 3 * m + 9) ** 2:
+        raise ArithmeticError("discriminant identity failed")  # pragma: no cover
     return ctx
 
 
-def _quadratic_context(d: int, h: int) -> FieldContext:
+def _quadratic_context(d: int) -> FieldContext:
     if d < 2 or not squarefree(d):
         raise ValueError("d must be a squarefree integer >= 2")
     if d % 4 != 1:
@@ -470,9 +467,6 @@ def _quadratic_context(d: int, h: int) -> FieldContext:
     ctx = FieldContext(
         REAL_QUADRATIC, d, poly, sigma_alpha,
         unit_gen_coords=[(-1, 0), _cf_fundamental_unit(d)],
-        class_number_assumption=h,
-        maximal_order_verified=True,
-        disc_field=d,
     )
     # normalize to the unit > 1 at the first embedding, alpha = (1+sqrt d)/2
     eps = ctx.unit_generators[1]
@@ -612,17 +606,13 @@ def _is_root_mod(poly, g, y) -> bool:
     return not any(acc)
 
 
-def _lehmer_context(m: int, h: int) -> FieldContext:
+def _lehmer_context(m: int) -> FieldContext:
     poly = _lehmer_poly(m)
     _certify_irreducible_quintic(poly)
     sigma_beta = _lehmer_sigma(poly)
-    disc = poly_discriminant(poly)
     ctx = FieldContext(
         LEHMER_QUINTIC, m, poly, sigma_beta,
         unit_gen_coords=[(-1, 0, 0, 0, 0), (0, 1, 0, 0, 0)],
-        class_number_assumption=h,
-        maximal_order_verified=_cheap_squarefree(disc),
-        disc_field=disc,
     )
     # unit generators: -1, beta and its first three conjugates
     beta = ctx.alpha
@@ -634,28 +624,6 @@ def _lehmer_context(m: int, h: int) -> FieldContext:
         if abs(ctx.norm_coords(u.coords)) != 1:
             raise ValueError("conjugate unit has |norm| != 1")  # pragma: no cover
     return ctx
-
-
-def _cheap_squarefree(n: int) -> bool:
-    """Squarefree check that gives up (returns False) on hard leftovers."""
-    n = abs(n)
-    if n == 0:
-        return False
-    for p in range(2, 10000):
-        if p * p > n:
-            return True
-        if n % p == 0:
-            n //= p
-            if n % p == 0:
-                return False
-    if n == 1:
-        return True
-    if is_prime(n):
-        return True
-    r = isqrt(n)
-    if r * r == n:
-        return False
-    return False  # undecided: claim nothing
 
 
 def find_root_in_field(ctx, coeffs: tuple[int, ...]):
@@ -679,14 +647,14 @@ def find_root_in_field(ctx, coeffs: tuple[int, ...]):
     return FieldElement(ctx, (int(c) if c.denominator == 1 else c for c in y))
 
 
-def construct_field(family: str, param: int, class_number_assumption: int = 1) -> FieldContext:
+def construct_field(family: str, param: int) -> FieldContext:
     """Build a FieldContext for one of the supported families."""
     if family == SHANKS_CUBIC:
-        return _shanks_context(param, class_number_assumption)
+        return _shanks_context(param)
     if family == REAL_QUADRATIC:
-        return _quadratic_context(param, class_number_assumption)
+        return _quadratic_context(param)
     if family == LEHMER_QUINTIC:
-        return _lehmer_context(param, class_number_assumption)
+        return _lehmer_context(param)
     raise ValueError(f"unknown family {family!r}")
 
 

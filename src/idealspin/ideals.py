@@ -4,7 +4,7 @@ arithmetic functions Lambda / mu / tau on ideals.
 Ideals are always handled in factored form; an integral-basis (HNF)
 representation exists only internally, to drive the generator search and
 residue enumeration.  Splitting data is only meaningful where the power
-basis is the maximal order, which the supported experiments enforce.
+basis is the maximal order, which every FieldContext guarantees.
 """
 
 import weakref
@@ -106,8 +106,8 @@ _split_caches: "weakref.WeakKeyDictionary" = weakref.WeakKeyDictionary()
 def split_prime(ctx, p: int) -> list[PrimeIdealData]:
     """Factor p in the field: split / inert / totally ramified.
 
-    Valid at primes not dividing the index of the power-basis order; with
-    maximal_order_verified this means every prime.  For degree >= 3 and an
+    Valid at every prime, since the power basis of a FieldContext is the
+    maximal order (Dedekind-Kummer).  For degree >= 3 and an
     unramified p >= 60 the field, cyclic of prime degree, splits p
     completely or keeps it inert: one x^p powmod decides which, and the
     roots are one root's Galois orbit.
@@ -117,10 +117,9 @@ def split_prime(ctx, p: int) -> list[PrimeIdealData]:
     if got is not None:
         return got
     n = ctx.degree
-    roots = None
     if n >= 3 and p >= 60 and ctx.disc_field % p:
         roots = _orbit_roots(ctx, p)
-    if roots is None:
+    else:
         roots = poly_roots_modp(list(ctx.poly), p)
     if len(roots) == n:
         out = [PrimeIdealData(p, 1, 1, r, i) for i, r in enumerate(sorted(roots))]
@@ -128,28 +127,21 @@ def split_prime(ctx, p: int) -> list[PrimeIdealData]:
         out = [PrimeIdealData(p, n, 1, None, 0)]
     elif len(roots) == 1 and ctx.disc_field % p == 0:
         out = [PrimeIdealData(p, 1, n, roots[0], 0)]
-    elif ctx.degree == 2 and len(roots) == 1:
-        out = [PrimeIdealData(p, 1, 2, roots[0], 0)]
     else:
-        raise ValueError(
-            f"unexpected factorization pattern of p={p}; index divisor?"
-        )
+        raise ValueError(f"unexpected factorization pattern of p={p}")
     cache[p] = out
     return out
 
 
-def _orbit_roots(ctx, p: int) -> list[int] | None:
+def _orbit_roots(ctx, p: int) -> list[int]:
     """The roots of the defining polynomial mod an unramified p: none, or
-    the Galois orbit of one root.  None when p divides a denominator of
-    sigma^k(alpha)."""
+    the Galois orbit of one root.  The power basis is the maximal order, so
+    every sigma^k(alpha) has integer coordinates."""
     f = [c % p for c in ctx.poly]
     if poly_powmod([0, 1], p, f, p) != [0, 1]:
         return []
     r = next(split_linear(f, p))
-    try:
-        roots = {eval_coords_mod_p(sk[1], r, p) for sk in ctx.automorphisms}
-    except ZeroDivisionError:
-        return None
+    roots = {eval_coords_mod_p(sk[1], r, p) for sk in ctx.automorphisms}
     if len(roots) != ctx.degree:
         raise ArithmeticError(f"Galois orbit of a root mod {p} is not {ctx.degree} roots")
     return sorted(roots)
@@ -160,13 +152,10 @@ def galois_prime(ctx, prime: PrimeIdealData, k: int) -> PrimeIdealData:
     k %= ctx.degree
     if k == 0 or prime.f > 1 or prime.e > 1:
         return prime
-    p = prime.p
-    sk = ctx.automorphisms[k][1]  # coords of sigma^k(alpha)
-    # sigma(P_t) = P_r with s_k(t) = r mod p: find t with s_k(t) = prime.r
-    for cand in split_prime(ctx, p):
-        if eval_coords_mod_p(sk, cand.r, p) == prime.r % p:
-            return cand
-    raise ArithmeticError("Galois action did not permute the roots")  # pragma: no cover
+    # sigma^k(P_t) contains sigma^k(alpha) - t, and alpha = s_(n-k)(sigma^k(alpha))
+    # with s_j the coords of sigma^j(alpha): sigma^k(P_t) = P_r, r = s_(n-k)(t)
+    r = eval_coords_mod_p(ctx.automorphisms[ctx.degree - k][1], prime.r, prime.p)
+    return next(pr for pr in split_prime(ctx, prime.p) if pr.r == r)
 
 
 def eval_coords_mod_p(coords, r: int, p: int) -> int:
@@ -249,43 +238,34 @@ def _ideal_sort_key(I: IdealFactorization):
 # HNF lattices of ideals and generators
 
 
-def prime_lattice_rows(ctx, prime: PrimeIdealData):
+def _prime_hnf(ctx, prime: PrimeIdealData):
+    """Closed-form HNF of a prime ideal: p*I when inert, diag(p, 1, ..., 1)
+    for (p, alpha), and for (p, alpha - r) with r != 0 mod p the rows
+    alpha^i - r^(i-n+1) alpha^(n-1) (last entry reduced mod p) and
+    p*alpha^(n-1)."""
     n = ctx.degree
     p = prime.p
     if prime.f == n:
         return [[p if i == j else 0 for j in range(n)] for i in range(n)]
-    r = prime.r
-    rows = [[p] + [0] * (n - 1)]
-    for i in range(1, n):
-        row = [0] * n
-        row[i] = 1
-        row[0] = -pow(r, i, p) % p
-        rows.append(row)
-    return rows
+    if prime.r % p == 0:
+        return [[p if i == j == 0 else int(i == j) for j in range(n)] for i in range(n)]
+    inv = pow(prime.r, -1, p)
+    rows = [[1 if i == j else 0 for j in range(n - 1)]
+            + [-pow(inv, n - 1 - i, p) % p] for i in range(n - 1)]
+    return rows + [[0] * (n - 1) + [p]]
 
 
 def ideal_lattice(ctx, ideal: IdealFactorization):
     """Upper-triangular HNF basis of the ideal as a Z-lattice in the power
-    basis coordinates.  A prime ideal to the first power has a closed form:
-    p*I when inert, and for (p, alpha - r) with r != 0 mod p the rows
-    alpha^i - r^(i-n+1) alpha^(n-1) (last entry reduced mod p) and
-    p*alpha^(n-1)."""
+    basis coordinates: the closed form for a prime, and products of prime
+    HNFs otherwise."""
     n = ctx.degree
-    if len(ideal.factors) == 1 and ideal.factors[0][1] == 1:
-        pr = ideal.factors[0][0]
-        p = pr.p
-        if pr.f == n:
-            return [[p if i == j else 0 for j in range(n)] for i in range(n)]
-        if pr.r % p:
-            inv = pow(pr.r, -1, p)
-            rows = [[1 if i == j else 0 for j in range(n - 1)]
-                    + [-pow(inv, n - 1 - i, p) % p] for i in range(n - 1)]
-            return rows + [[0] * (n - 1) + [p]]
-    rows = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
-    for pr, k in ideal.factors:
-        plat = prime_lattice_rows(ctx, pr)
-        for _ in range(k):
-            rows = lattice_product(ctx, rows, plat)
+    primes = [pr for pr, k in ideal.factors for _ in range(k)]
+    if not primes:
+        return [[1 if i == j else 0 for j in range(n)] for i in range(n)]
+    rows = _prime_hnf(ctx, primes[0])
+    for pr in primes[1:]:
+        rows = lattice_product(ctx, rows, _prime_hnf(ctx, pr))
     if hnf_det(rows) != ideal.norm:
         raise ArithmeticError("ideal lattice determinant != ideal norm")  # pragma: no cover
     return rows
@@ -344,7 +324,7 @@ def factor_element(ctx, element) -> IdealFactorization:
                 continue
             # valuation via membership in increasing prime powers
             k = 1
-            lat = prime_lattice_rows(ctx, pr)
+            lat = _prime_hnf(ctx, pr)
             cur = lat
             coords = [int(c) for c in element.coords]
             while True:

@@ -14,14 +14,16 @@ from .arith import jacobi, legendre
 from .errors import HypothesisViolated
 from .fields import FieldElement
 from .ideals import (
+    IdealFactorization,
     PrimeIdealData,
+    apply_galois_ideal,
     elements_coprime,
-    eval_coords_mod_p,
     galois_prime,
     prime_ideals_in_norm_range,
     prime_power_ideal,
 )
 from .spin import canonical_ideal_generator
+from .symbols import prime_symbol, residue_symbol
 from .units import FundamentalDomain
 
 
@@ -55,9 +57,6 @@ def qualifying_generator(ctx, dom: FundamentalDomain, prime: PrimeIdealData):
 def spin_involution_direct(ctx, dom: FundamentalDomain, ideal) -> int:
     """(pi / a^sigma) with the field's own symbol machinery, for an odd
     principal ideal with a qualifying generator."""
-    from .ideals import IdealFactorization, apply_galois_ideal
-    from .symbols import residue_symbol
-
     _require_quadratic(ctx)
     if isinstance(ideal, PrimeIdealData):
         if ideal.e > 1 or ideal.f > 1 or ideal.p == 2:
@@ -65,8 +64,7 @@ def spin_involution_direct(ctx, dom: FundamentalDomain, ideal) -> int:
         pi = qualifying_generator(ctx, dom, ideal)
         if pi is None:
             raise HypothesisViolated("no totally positive generator = 1 mod 8")
-        conj = galois_prime(ctx, ideal, 1)
-        return legendre(eval_coords_mod_p(pi.coords, conj.r, ideal.p), ideal.p)
+        return prime_symbol(ctx, pi, galois_prime(ctx, ideal, 1))
     if not isinstance(ideal, IdealFactorization):
         raise TypeError("need a prime or an ideal factorization")
     if not ideal.coprime_to(apply_galois_ideal(ctx, ideal, 1)):
@@ -135,7 +133,7 @@ def lemma_10_3_check(ctx, x: int, prime: PrimeIdealData) -> bool:
         raise ValueError("need an odd split degree-one prime")
     if x % prime.p == 0:
         raise ValueError("x must be coprime to p")
-    lhs = legendre(eval_coords_mod_p((x, 0), prime.r, prime.p), prime.p)
+    lhs = prime_symbol(ctx, ctx.coerce(x), prime)
     rhs = legendre(x, prime.p)
     return lhs == rhs
 
@@ -170,8 +168,7 @@ def quad_spin_records(ctx, dom: FundamentalDomain, X: int, lo: int = 1):
         pi = qualifying_generator(ctx, dom, prime)
         if pi is None:
             continue
-        conj = galois_prime(ctx, prime, 1)
-        direct = legendre(eval_coords_mod_p(pi.coords, conj.r, p), p)
+        direct = prime_symbol(ctx, pi, galois_prime(ctx, prime, 1))
         formula = spin_involution_formula(ctx, pi)
         yield QuadSpinRecord(p, prime, pi, pi.trace() // 2, direct, formula)
 

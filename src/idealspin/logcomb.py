@@ -59,6 +59,3 @@ class LogCombination:
         if not self.coeffs:
             return "0"
         return " + ".join(f"{c}*log({p})" for p, c in sorted(self.coeffs.items()))
-
-
-ZERO_LOG = LogCombination()

@@ -58,14 +58,14 @@ def _verify_field_link(ctx, cubic) -> FieldElement:
     return root
 
 
-def curve_784(class_number_assumption: int = 1) -> CurveConfig:
+def curve_784() -> CurveConfig:
     """The conductor-784 example: y^2 = x^3 + x^2 - 16x - 29, 2-torsion
     field the degree-3 field of the m=1 simplest cubic, base dim 1.
 
     Bad primes are 2 and 7; only 2 is unramified in the field, so the local
     square condition set is {2}, and the mod-8 generator condition
     discharges the remaining hypothesis unconditionally."""
-    ctx = construct_field("shanks_cubic", 1, class_number_assumption)
+    ctx = construct_field("shanks_cubic", 1)
     cubic = (-29, -16, 1, 1)
     root = _verify_field_link(ctx, cubic)
     return CurveConfig(

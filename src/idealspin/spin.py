@@ -11,21 +11,19 @@ of unit squares modulo the filter modulus.
 from dataclasses import dataclass
 from math import lcm
 
-from .arith import legendre
 from .errors import EvenIdeal, GeneratorNotFound, NotCoprime
 from .fields import FieldElement
 from .ideals import (
     IdealFactorization,
     PrimeIdealData,
     apply_galois_ideal,
-    eval_coords_mod_p,
     find_generator,
     galois_prime,
     prime_ideals_in_norm_range,
     prime_power_ideal,
 )
 from .lattice import det
-from .symbols import mu_and_mu2, residue_symbol
+from .symbols import mu_and_mu2, prime_symbol, residue_symbol
 from .units import FundamentalDomain, canonical_generator, unit_square_image
 
 
@@ -100,11 +98,7 @@ def spin_record(ctx, dom: FundamentalDomain, prime: PrimeIdealData,
         # sigma fixes the prime; the generator sits in it, so every spin is 0
         spins = (0,) * (n - 1)
     else:
-        vals = []
-        for k in range(1, n):
-            tgt = galois_prime(ctx, prime, k)
-            vals.append(legendre(eval_coords_mod_p(g.coords, tgt.r, p), p))
-        spins = tuple(vals)
+        spins = tuple(prime_symbol(ctx, g, galois_prime(ctx, prime, k)) for k in range(1, n))
     return SpinRecord(
         prime,
         g,

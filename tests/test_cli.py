@@ -24,7 +24,6 @@ def test_field_info_json():
     info = json.loads(out)
     assert info["defining_poly"] == [-1, -2, 1, 1]
     assert info["disc"] == 49
-    assert info["maximal_order_verified"] is True
 
 
 def test_field_info_lehmer_golden():
@@ -35,7 +34,6 @@ def test_field_info_lehmer_golden():
         "defining_poly": [1, 3, -3, -4, 1, 1], "disc": 14641,
         "unit_signs": [[-1, -1, -1, -1, -1], [1, 1, -1, -1, -1], [1, -1, -1, -1, 1],
                        [-1, -1, 1, -1, 1], [-1, -1, 1, 1, -1]],
-        "maximal_order_verified": False, "class_number_assumption": 1,
     }
 
 
@@ -67,13 +65,35 @@ def test_generator_pipeline_golden(argv, lines, sha256):
     assert hashlib.sha256(out.encode()).hexdigest() == sha256
 
 
-@pytest.mark.parametrize("command", ["domain-count", "spins"])
-def test_non_maximal_order_rejected(command):
-    # the power basis of shanks:3 is not verified to be the maximal order
-    code, out, err = run_cli(command, "--field", "shanks:3", "--max-norm", "100")
-    assert code == 2
-    assert json.loads(err)["error"] == "HypothesisViolated"
-    assert out == ""
+_FIELD_COMMANDS = [
+    ("field-info",), ("domain-info",), ("domain-count", "--max-norm", "100"),
+    ("primes", "--max-norm", "100"), ("symbol", "--upper", "0,1,0", "--lower", "13:7"),
+    ("spins", "--max-norm", "100"), ("spin-sum", "--max-norm", "100"),
+    ("vaughan-verify", "--x", "100"), ("char-scan", "--q-max", "50"),
+]
+
+
+@pytest.mark.parametrize("argv", _FIELD_COMMANDS, ids=lambda a: a[0])
+def test_non_maximal_order_rejected(argv):
+    """Z[alpha] is not the maximal order at p = 3 for shanks:6 and at p = 7
+    for shanks:8: every command fails when the field is built."""
+    for field, p in (("shanks:6", 3), ("shanks:8", 7)):
+        code, out, err = run_cli(*argv, "--field", field)
+        assert code == 2
+        assert json.loads(err) == {
+            "error": "HypothesisViolated",
+            "message": f"the power basis of shanks_cubic({field[7:]}) is not the "
+                       f"maximal order at p = {p}"}
+        assert out == ""
+
+
+def test_maximal_order_with_square_discriminant_factor_accepted():
+    """shanks:3 has delta = 9 but Z[alpha] is maximal at 3."""
+    code, out, _ = run_cli("spins", "--field", "shanks:3", "--max-norm", "100")
+    assert code == 0
+    lines = out.splitlines()
+    assert lines[0] == "p,r,norm,gen_coords,spin_k1,spin_k2" and len(lines) > 1
+    assert lines[1].startswith("3,1,3,")  # the ramified prime above 3
 
 
 def test_oversized_unit_box_fails_fast():

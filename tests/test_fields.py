@@ -1,12 +1,18 @@
 import random
 from fractions import Fraction
+from itertools import product
 from math import lcm
 
 import pytest
 
 from idealspin import fields
-from idealspin.arith import squarefree
-from idealspin.errors import EvenDiscriminant, NormMinusOneUnitAbsent, PrecisionExhausted
+from idealspin.arith import factorint, p_maximal, squarefree
+from idealspin.errors import (
+    EvenDiscriminant,
+    HypothesisViolated,
+    NormMinusOneUnitAbsent,
+    PrecisionExhausted,
+)
 from idealspin.fields import (
     _cf_fundamental_unit,
     apply_automorphism,
@@ -39,8 +45,79 @@ def _fractions(triples):
 def test_shanks_construction(shanks1):
     assert shanks1.poly == (-1, -2, 1, 1)
     assert shanks1.disc_field == 49  # (m^2 - 3m + 9)^2 at m = 1
-    assert shanks1.maximal_order_verified
     assert shanks1.degree == 3
+
+
+def _integral_over_p(f, a, p):
+    """Is (a_0 + a_1 x + ... + a_(n-1) x^(n-1))/p integral in Q[x]/(f)?  The
+    coefficients e_k of the characteristic polynomial of a, found by
+    Newton's identities from the traces s_k of the powers of its
+    multiplication matrix, must be divisible by p^k."""
+    n = len(f) - 1
+    cols, v = [], list(a)
+    for _ in range(n):
+        cols.append(v)
+        v = [c - v[-1] * fc for c, fc in zip([0] + v[:-1], f)]  # x*v mod f
+    mat = [[cols[j][i] for j in range(n)] for i in range(n)]
+    power, s = mat, [None]
+    for _ in range(n):
+        s.append(sum(power[i][i] for i in range(n)))
+        power = [[sum(r[t] * mat[t][j] for t in range(n)) for j in range(n)] for r in power]
+    e = [1]
+    for k in range(1, n + 1):
+        e.append(sum((-1) ** (i - 1) * e[k - i] * s[i] for i in range(1, k + 1)) // k)
+    return all(e[k] % p**k == 0 for k in range(1, n + 1))
+
+
+def _order_is_p_maximal(f, p):
+    """Oracle: Z[x]/(f) is p-maximal iff no a/p with a != 0 mod p is
+    integral.  The a that work form an F_p-subspace, so it is enough to try
+    each a whose first nonzero coordinate is 1."""
+    n = len(f) - 1
+    return not any(_integral_over_p(f, (0,) * i + (1,) + tail, p)
+                   for i in range(n) for tail in product(range(p), repeat=n - 1 - i))
+
+
+@pytest.mark.parametrize("f,p,maximal", [
+    ((-5, 0, 1), 2, False), ((-3, 0, 1), 2, True),          # Z[sqrt 5], Z[sqrt 3]
+    ((-10, 0, 0, 1), 3, False), ((-2, 0, 0, 1), 3, True),   # 10 = 1 mod 9, 2 is not
+    # (x^2 + x + 1)^2 + c: a squared factor of degree 2 mod 2; for c = 4,
+    # ((alpha^2 + alpha + 1)/2)^2 = -1
+    ((5, 2, 3, 2, 1), 2, False), ((3, 2, 3, 2, 1), 2, True),
+])
+def test_p_maximal_small_examples(f, p, maximal):
+    assert _order_is_p_maximal(f, p) == maximal
+    assert p_maximal(f, p) == maximal
+
+
+def test_p_maximal_matches_integrality_oracle():
+    """Dedekind's criterion against the a/p integrality oracle at every p
+    with p^2 | delta = m^2 - 3m + 9 for the Shanks cubics with delta not
+    squarefree, m in [-5, 80); the constructor rejects exactly the fields
+    that fail.  For m = 0 mod 3, f = (x - 1)^3 and f' = 0 mod 3, so
+    f/gcd(f, f') would give 1 for the radical instead of x - 1: that trap
+    shows at m = 6 mod 9, which is not maximal at 3."""
+    rejected, accepted = [], []
+    for m in range(-5, 80):
+        f = (-1, m - 3, m, 1)
+        delta = m * m - 3 * m + 9
+        if squarefree(delta):
+            continue
+        maximal = True
+        for p, e in factorint(delta).items():
+            if e >= 2:
+                assert p_maximal(f, p) == _order_is_p_maximal(f, p), (m, p)
+                maximal = maximal and p_maximal(f, p)
+        try:
+            construct_field("shanks_cubic", m)
+        except HypothesisViolated:
+            assert not maximal, m
+            rejected.append(m)
+        else:
+            assert maximal, m
+            accepted.append(m)
+    assert rejected == [-5, -3, 6, 8, 15, 24, 33, 42, 44, 51, 57, 60, 69, 78]
+    assert accepted[:5] == [0, 3, 9, 12, 18] and len(accepted) == 17
 
 
 def test_shanks_disc_identity():
@@ -265,6 +342,7 @@ def test_quadratic_rejections():
 def test_lehmer_construction():
     ctx = construct_field("lehmer_quintic", -1)
     assert ctx.degree == 5
+    assert ctx.disc_field == 11**4  # 11 is p-maximal: Z[beta] is the ring of integers
     beta = ctx.alpha
     assert beta.norm() == -1
     sv = ctx.sign_vector(beta)

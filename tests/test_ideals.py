@@ -18,6 +18,7 @@ from idealspin.ideals import (
     _orbit_roots,
     apply_galois_ideal,
     element_in_ideal,
+    element_in_prime,
     enumerate_ideals,
     enumerate_prime_ideals,
     factor_element,
@@ -28,7 +29,6 @@ from idealspin.ideals import (
     make_ideal,
     mangoldt,
     moebius,
-    prime_lattice_rows,
     prime_power_ideal,
     residue_of,
     split_prime,
@@ -140,17 +140,34 @@ def test_orbit_roots_match_poly_roots_modp(family, param, limit):
 @pytest.mark.parametrize("family,param", [
     ("shanks_cubic", 1), ("real_quadratic", 5), ("lehmer_quintic", -1), ("real_quadratic", 13),
 ])
+def _prime_generator_rows(ctx, prime):
+    """Generators of a prime ideal as a Z-module: p*I when inert, else p
+    and alpha^i - r^i."""
+    n, p = ctx.degree, prime.p
+    if prime.f == n:
+        return [[p if i == j else 0 for j in range(n)] for i in range(n)]
+    return [[p] + [0] * (n - 1)] + [
+        [-pow(prime.r, i, p) % p] + [int(i == j) for j in range(1, n)] for i in range(1, n)]
+
+
+@pytest.mark.parametrize("family,param", [
+    ("shanks_cubic", 1), ("real_quadratic", 5), ("lehmer_quintic", -1), ("real_quadratic", 13),
+])
 def test_ideal_lattice_closed_form_matches_hnf(family, param):
-    """The closed-form HNF of a prime ideal against the HNF of the products
-    of its generators with the power basis, the path every ideal took
-    before.  quad:13 has the root r = 0 at p = 3, which keeps that path."""
+    """The closed-form HNF of a prime ideal, and of its square, against the
+    HNF of the products of its generators with the power basis.  quad:13
+    has the root r = 0 at p = 3."""
     ctx = construct_field(family, param)
     n = ctx.degree
     identity = [[int(i == j) for j in range(n)] for i in range(n)]
     zero_roots = 0
     for pr in enumerate_prime_ideals(ctx, 3000):
-        want = lattice_product(ctx, identity, prime_lattice_rows(ctx, pr))
+        gens = _prime_generator_rows(ctx, pr)
+        want = lattice_product(ctx, identity, gens)
         assert ideal_lattice(ctx, prime_power_ideal(pr)) == want, pr
+        if pr.norm <= 300:
+            want = lattice_product(ctx, want, gens)
+            assert ideal_lattice(ctx, prime_power_ideal(pr, 2)) == want, pr
         zero_roots += pr.f == 1 and pr.r % pr.p == 0
     assert zero_roots == (1 if param == 13 else 0)
 
@@ -209,6 +226,19 @@ def test_galois_prime_permutes(shanks1):
         assert imgs == {pr.r for pr in prs}
         for pr in prs:
             assert galois_prime(shanks1, galois_prime(shanks1, pr, 1), 2) == pr
+
+
+@pytest.mark.parametrize("family,param", [
+    ("shanks_cubic", 4), ("real_quadratic", 13), ("lehmer_quintic", -1),
+])
+def test_galois_prime_contains_image_of_generator(family, param):
+    """sigma^k(P) for P = (p, alpha - r) contains sigma^k(alpha - r); this
+    fixes the direction of the action, which a permutation check does not."""
+    ctx = construct_field(family, param)
+    for pr in enumerate_prime_ideals(ctx, 1500, degree_one_only=True):
+        for k in range(ctx.degree):
+            img = galois_prime(ctx, pr, k)
+            assert img.p == pr.p and element_in_prime(ctx, (ctx.alpha - pr.r).galois(k), img)
 
 
 def test_generator_roundtrip(shanks1):

@@ -1,7 +1,7 @@
 """Static checks of the library modules with the stdlib ``ast`` only:
 every loaded name is bound somewhere in its module (or is a builtin), every
-imported name is used, and every top-level function or class is referenced
-by name somewhere in the library or the tests.  Scopes are not told apart,
+imported name is used, and every top-level function, class or assigned name
+is referenced by name somewhere in the library or the tests.  Scopes are not told apart,
 so a name bound in one function and loaded in another passes; the check
 still catches a name that was never imported at all.  ``__init__.py``
 re-exports by import and is skipped by the per-module checks.
@@ -78,22 +78,36 @@ def test_no_unused_imports(path):
     assert not unused, f"{path.name}: unused imports (line, name): {unused}"
 
 
+def _top_level_names(tree):
+    """Names a module defines at top level: functions, classes and
+    assignment targets.  Dunder names such as ``__version__`` are read by
+    tools, not by code, and are left out."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            yield node.name
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            for sub in (n for t in targets for n in ast.walk(t)):
+                if isinstance(sub, ast.Name) and not sub.id.startswith("__"):
+                    yield sub.id
+
+
 def _unreferenced(def_paths, ref_paths):
-    """(module, name) of each top-level def/class in def_paths whose name no
-    file in ref_paths loads, reads as an attribute, or imports."""
+    """(module, name) of each top-level definition or assignment in
+    def_paths whose name no file in ref_paths loads, reads as an attribute,
+    or imports."""
     refs = set()
     for path in ref_paths:
         for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
-            if isinstance(node, ast.Name):
+            if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
                 refs.add(node.id)
             elif isinstance(node, ast.Attribute):
                 refs.add(node.attr)
             elif isinstance(node, ast.alias):
                 refs.add(node.name)
-    return sorted((path.stem, node.name) for path in def_paths
-                  for node in ast.parse(path.read_text()).body
-                  if isinstance(node, (ast.FunctionDef, ast.ClassDef))
-                  and node.name not in refs)
+    return sorted((path.stem, name) for path in def_paths
+                  for name in _top_level_names(ast.parse(path.read_text()))
+                  if name not in refs)
 
 
 def test_every_definition_is_referenced():
@@ -126,7 +140,8 @@ def test_lint_flags_a_missing_import(tmp_path):
 
 def test_lint_flags_an_unreferenced_definition(tmp_path):
     lib = tmp_path / "lib.py"
-    lib.write_text("def used():\n    return 1\n\n\ndef dead():\n    return used()\n")
+    lib.write_text("LIMIT = 3\nDEAD_CONST = 4\n__version__ = '1'\n\n\n"
+                   "def used():\n    return LIMIT\n\n\ndef dead():\n    return used()\n")
     user = tmp_path / "user.py"
-    user.write_text("from lib import used\n")
-    assert _unreferenced([lib], [lib, user]) == [("lib", "dead")]
+    user.write_text("from lib import used\nDEAD_CONST = 5\n")
+    assert _unreferenced([lib], [lib, user]) == [("lib", "DEAD_CONST"), ("lib", "dead")]
