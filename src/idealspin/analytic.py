@@ -25,7 +25,7 @@ from .ideals import (
     tau,
 )
 from .logcomb import LogCombination
-from .spin import CongruenceFilter, canonical_ideal_generator
+from .spin import CongruenceFilter, canonical_ideal_generator, spin_prime_stream
 from .symbols import DirichletChar, residue_symbol
 from .units import FundamentalDomain
 
@@ -80,8 +80,6 @@ def spin_sum(ctx, dom: FundamentalDomain, X: int, k: int = 1, mod8_class=None):
     """Sum of spin(sigma^k, p) over prime ideals of norm <= X, optionally
     restricted to generators in one class mod 8.  Returns (sum,
     prime_count)."""
-    from .spin import spin_prime_stream
-
     total = 0
     count = 0
     for kind, item in spin_prime_stream(ctx, dom, X, mod8_class=mod8_class):

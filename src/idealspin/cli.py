@@ -11,6 +11,7 @@ structured JSON object on stderr).
 
 import argparse
 import json
+import random
 import sys
 
 from . import analytic, involution, selmer
@@ -18,9 +19,17 @@ from .arith import sieve_primes
 from .errors import HypothesisViolated, IdealspinError
 from .fields import construct_field
 from .ideals import enumerate_ideals, enumerate_prime_ideals, split_prime
-from .spin import spin_prime_stream, spin_record
-from .symbols import residue_symbol
-from .units import build_domain, count_in_domain, domain_elements, verify_unit_plus_square
+from .spin import conjugation_relation_check, spin_prime_stream, spin_record
+from .symbols import residue_symbol, residues_mod
+from .units import (
+    build_domain,
+    count_in_domain,
+    domain_contains,
+    domain_elements,
+    make_totally_positive,
+    reduce_to_domain,
+    verify_unit_plus_square,
+)
 
 _FAMILIES = {"shanks": "shanks_cubic", "lehmer": "lehmer_quintic", "quad": "real_quadratic"}
 
@@ -124,6 +133,8 @@ def _run_blocks(payload, block_fn, blocks, workers: int):
     if workers <= 1 or len(blocks) <= 1:
         _pool_init(payload)
         return [block_fn(b) for b in blocks]
+    # deferred: importing multiprocessing adds about 0.9 MB to the peak RSS
+    # of every one-worker run, which never uses it
     import multiprocessing as mp
 
     ctx = mp.get_context("fork")
@@ -295,8 +306,6 @@ def _dispatch(args, out, err) -> int:
             if I.is_unit_ideal():
                 continue
             nm = I.norm
-            from .symbols import residues_mod
-
             for nu in residues_mod(ctx, I):
                 cnt = count_in_domain(dom, X, I, ctx.element(nu))
                 expected = total / nm
@@ -391,11 +400,6 @@ def _dispatch(args, out, err) -> int:
 
 
 def _selftest(out, seed: int = 0) -> int:
-    import random
-
-    from .spin import conjugation_relation_check
-    from .units import domain_contains, make_totally_positive, reduce_to_domain
-
     rng = random.Random(seed)
     failures = 0
 

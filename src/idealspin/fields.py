@@ -22,9 +22,18 @@ exactly or raises PrecisionExhausted.  Exact Q[x] arithmetic lives in
 """
 
 from fractions import Fraction
+from itertools import permutations
 from math import isqrt
 
-from .arith import factorint, is_prime, p_maximal, squarefree
+from .arith import (
+    factorint,
+    is_prime,
+    p_maximal,
+    poly_gcd_modp,
+    poly_powmod,
+    poly_trim,
+    squarefree,
+)
 from .errors import (
     EvenDiscriminant,
     HypothesisViolated,
@@ -525,8 +534,6 @@ def _lehmer_poly(m: int) -> tuple[int, ...]:
 def _certify_irreducible_quintic(poly) -> None:
     """A quintic with no factor of degree <= 2 over F_p for some good p is
     irreducible over Q."""
-    from .arith import poly_gcd_modp, poly_powmod, poly_trim
-
     _rational_roots_excluded(poly)
     disc = poly_discriminant(poly)
     p = 2
@@ -551,8 +558,6 @@ def _certify_irreducible_quintic(poly) -> None:
 def _lehmer_sigma(poly) -> tuple:
     """Find sigma(beta) by matching embeddings over all 5-cycles of the
     roots (perm[k] = the root that sigma(beta) is at embedding k)."""
-    from itertools import permutations
-
     def is_5_cycle(p):
         seen = {0}
         k = p[0]
@@ -631,8 +636,6 @@ def find_root_in_field(ctx, coeffs: tuple[int, ...]):
     field this is (None when no root exists).  Numeric matching of the
     embeddings followed by rational reconstruction; the winner is verified
     exactly, so a non-None answer is certified."""
-    from itertools import permutations
-
     n = ctx.degree
     if len(coeffs) - 1 != n:
         raise ValueError("degree mismatch")

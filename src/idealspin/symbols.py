@@ -9,7 +9,7 @@ supported by the completed symbol, which needs the archimedean factor only.
 
 from math import gcd
 
-from .arith import legendre, poly_powmod
+from .arith import legendre, poly_powmod, squarefull
 from .errors import CostGuard, EvenEntry, EvenModulus, NotCoprime
 from .fields import FieldElement
 from .ideals import (
@@ -214,8 +214,6 @@ def complete_sum_check(ctx, q: IdealFactorization, variant: str = "full"):
                          Nq is not squarefull).
 
     Returns (value, hypothesis_ok)."""
-    from .arith import squarefull
-
     if not q.is_odd():
         raise EvenModulus("complete sums need an odd ideal")
     if variant == "full":

@@ -11,12 +11,21 @@ trace bilinear forms.
 import weakref
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import floor, log
+from itertools import combinations, product
+from math import gcd, log
 from operator import mul
 
-from .errors import CostGuard, NotTotallyPositive, SearchBoundExceeded, SignSystemSingular
+from .arith import iroot_ceil
+from .errors import (
+    CostGuard,
+    HypothesisViolated,
+    NotTotallyPositive,
+    SearchBoundExceeded,
+    SignSystemSingular,
+)
 from .fields import FieldElement
-from .lattice import f2_echelon, f2_solve, gauss_jordan
+from .ideals import ideal_lattice
+from .lattice import det, f2_echelon, f2_solve, gauss_jordan
 
 # Scalings of the log-embedding solution tried for the contracting unit.
 CONTRACTING_MAX_SCALE = 40
@@ -170,9 +179,7 @@ def find_contracting_unit(ctx) -> FieldElement:
     for t in range(1, CONTRACTING_MAX_SCALE + 1):
         center = [t * x for x in base]
         offsets = range(-1, 2) if r <= 3 else (0,)
-        from itertools import product as iproduct
-
-        for off in iproduct(offsets, repeat=r):
+        for off in product(offsets, repeat=r):
             exps = tuple(round(c) + o for c, o in zip(center, off))
             if exps not in seen and any(exps):
                 seen.add(exps)
@@ -210,7 +217,7 @@ class FundamentalDomain:
     trace_rows: tuple      # per small unit: integer vector w with T(u x) = w . x
     identity_row: tuple    # T(x) = identity_row . x
     conjugate_bound: Fraction  # certified upper bound on the contracting
-                               # conjugates' largest embedding (used for boxes)
+                               # conjugates' largest embedding
     moves: tuple = ()          # small units and their inverses, for descent
     move_rows: tuple = ()
     _census: dict = field(default_factory=dict, repr=False)
@@ -384,69 +391,77 @@ def canonical_generator(dom: FundamentalDomain, g: FieldElement) -> FieldElement
     return reduce_to_domain(dom, make_totally_positive(dom.ctx, g))
 
 
-def _embedding_upper_bound(dom, X: int) -> Fraction:
-    """Certified bound: a closed-domain element of norm <= X satisfies
-    e^(k)^n <= X (2U)^(n-1), with U the contracting conjugates' peak."""
-    n = dom.ctx.degree
-    twoU = 2 * dom.conjugate_bound
-    target = X * twoU ** (n - 1)
-    guess = Fraction(int(float(target) ** (1.0 / n) * 1.01) + 1)
-    while guess**n < target:
-        guess = guess * Fraction(105, 100)
-    return guess
+def _cone_rays(ctx, rows) -> list[tuple[int, ...]]:
+    """Extreme rays of the trace cone K = {a : w . a >= 0 for w in rows},
+    each certified totally positive; the rows are w_u - t, with w_u the
+    trace row of a small unit u and t the identity row.
+
+    The kernel of n - 1 rows is spanned by their signed maximal minors, and
+    it holds a ray of K when that vector or its negative satisfies every
+    row.  K holds a neighbourhood of 1, so it is pointed exactly when its
+    rows have rank n; otherwise some kernel vector vanishes on every row, or
+    no kernel vector is found at all.  A pointed K is the cone over its
+    rays, so once every ray is totally positive, every nonzero point of K is
+    too, and K without the origin is the closed domain."""
+    n = ctx.degree
+    rays = set()
+    for sub in combinations(rows, n - 1):
+        v = [(-1) ** j * det([r[:j] + r[j + 1:] for r in sub]) for j in range(n)]
+        g = gcd(*v)
+        if not g:
+            continue
+        vals = [sum(map(mul, r, v)) for r in rows]
+        if not any(vals):
+            raise HypothesisViolated("the trace cone of the domain is not pointed")
+        if min(vals) >= 0:
+            rays.add(tuple(c // g for c in v))
+        elif max(vals) <= 0:
+            rays.add(tuple(-c // g for c in v))
+    if not rays:
+        raise HypothesisViolated("the trace cone of the domain is not pointed")
+    for ray in rays:
+        if not ctx.is_totally_positive(ctx.element(ray)):
+            raise HypothesisViolated(f"trace cone ray {ray} is not totally positive")
+    return sorted(rays)
 
 
 def domain_elements(dom: FundamentalDomain, X: int) -> list[tuple[int, ...]]:
     """Coordinates of every nonzero integral element of the closed domain
-    with norm <= X.  Cached per domain."""
+    with norm <= X.  Cached per domain.
+
+    The closed domain is the trace cone K without the origin (see
+    _cone_rays).  N^(1/n) is concave and 1-homogeneous on the totally
+    positive cone, so every element of norm <= X lies in the convex hull of
+    0 and the points (X / N(r))^(1/n) r over the rays r; that hull bounds
+    each coordinate.  For each tail (a1, ..., a_{n-1}) in the box, the a0
+    with (a0, tail) in K form a ray of totally positive elements, along
+    which the norm increases."""
     if X in dom._census:
         return dom._census[X]
     ctx = dom.ctx
     n = ctx.degree
-    Ymax = _embedding_upper_bound(dom, X)
-    mids = [(a + c) / (2 << b) for a, c, b in ctx.embedding_intervals(96)]
-    # coordinate box: a = V^{-1} y with 0 < y_k <= Ymax
-    V = [[mids[k] ** i for i in range(n)] for k in range(n)]
-    Vinv = gauss_jordan(V, _float_identity(n))
-    Yf = float(Ymax)
-    bounds = [int(sum(abs(Vinv[i][k]) for k in range(n)) * Yf * 1.05) + 2 for i in range(n)]
-    # every closed-domain inequality T(u x) >= T(x) has a positive a0
-    # coefficient c0 = T(u) - n; split each into (c0, the rest of the row)
-    ident = dom.identity_row
-    bound_rows = [(row[0] - ident[0], [w - t for w, t in zip(row[1:], ident[1:])])
-                  for row in dom.trace_rows]
+    rows = [tuple(w - t for w, t in zip(row, dom.identity_row)) for row in dom.trace_rows]
+    lo = [0] * n
+    hi = [0] * n
+    for ray in _cone_rays(ctx, rows):
+        N = ctx.norm_coords(ray)
+        for j, c in enumerate(ray):
+            # |c| (X / N)^(1/n), rounded up
+            b = iroot_ceil(-(-X * abs(c) ** n // N), n)
+            if c > 0:
+                hi[j] = max(hi[j], b)
+            elif c < 0:
+                lo[j] = min(lo[j], -b)
     out: list[tuple[int, ...]] = []
     coords = [0] * n
 
-    logX = float(X) * 1.0001 + 1.0
-
     def scan_a0():
-        # float prefilter: at the first totally positive a0 the norm is
-        # minimal over the ray; skip the pair when even that exceeds X
-        tails = [sum(coords[j] * mids[k] ** j for j in range(1, n)) for k in range(n)]
-        est = max(-t for t in tails)
-        a0f = floor(est) + 1
-        prod = 1.0
-        for t in tails:
-            prod *= max(a0f + t, 0.25)
-        if prod > 4.0 * logX:
-            return
-        # exact lower bounds: c0 a0 + s >= 0 gives a0 >= ceil(-s / c0)
-        lo = int(est) - 2
+        # each row reads c0 a0 + s >= 0 with c0 = T(u) - n > 0 (AM-GM), so
+        # a0 >= ceil(-s / c0); a0 >= 1 on the zero tail
         tail = coords[1:]
-        for c0, tail_row in bound_rows:
-            b = -(sum(map(mul, tail_row, tail)) // c0)
-            if b > lo:
-                lo = b
-        a0 = lo
-        for _ in range(8):
-            coords[0] = a0
-            if any(coords) and ctx.is_totally_positive(ctx.element(coords)):
-                break
-            a0 += 1
-        else:
-            return
-        # norm is monotone in a0 on the totally positive ray
+        a0 = max(-(sum(map(mul, row[1:], tail)) // row[0]) for row in rows)
+        if not any(tail):
+            a0 = max(a0, 1)
         coords[0] = a0
         if ctx.norm_coords(tuple(coords)) > X:
             return
@@ -473,7 +488,7 @@ def domain_elements(dom: FundamentalDomain, X: int) -> list[tuple[int, ...]]:
         if i == 0:
             scan_a0()
             return
-        for v in range(-bounds[i], bounds[i] + 1):
+        for v in range(lo[i], hi[i] + 1):
             coords[i] = v
             rec(i - 1)
         coords[i] = 0
@@ -487,8 +502,6 @@ def domain_elements(dom: FundamentalDomain, X: int) -> list[tuple[int, ...]]:
 def domain_class_counts(dom: FundamentalDomain, X: int, ideal) -> dict:
     """Histogram of the closed-domain elements of norm <= X over the residue
     classes mod the ideal.  One pass per (X, ideal); cached."""
-    from .ideals import ideal_lattice
-
     key = (X, ideal.factors)
     cache = dom._census.setdefault("classes", {})
     if key in cache:
@@ -506,8 +519,6 @@ def domain_class_counts(dom: FundamentalDomain, X: int, ideal) -> dict:
 def count_in_domain(dom: FundamentalDomain, X: int, ideal, nu) -> int:
     """Exact count of integral elements in the closed domain, norm <= X,
     congruent to nu mod the ideal."""
-    from .ideals import ideal_lattice
-
     ctx = dom.ctx
     H = ideal_lattice(ctx, ideal)
     target = _residue_canonical(H, [int(c) for c in ctx.coerce(nu).coords])

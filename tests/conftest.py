@@ -22,3 +22,13 @@ def quad5():
 @pytest.fixture(scope="session")
 def dom5(quad5):
     return build_domain(quad5)
+
+
+@pytest.fixture(scope="session")
+def shanks4():
+    return construct_field("shanks_cubic", 4)
+
+
+@pytest.fixture(scope="session")
+def dom4(shanks4):
+    return build_domain(shanks4)

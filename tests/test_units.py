@@ -1,3 +1,5 @@
+import dataclasses
+import hashlib
 import random
 from fractions import Fraction
 from bisect import bisect_left
@@ -6,7 +8,7 @@ from math import comb
 
 import pytest
 
-from idealspin.errors import NotTotallyPositive
+from idealspin.errors import HypothesisViolated, NotTotallyPositive
 from idealspin.fields import construct_field
 from idealspin.ideals import prime_power_ideal, split_prime
 from idealspin.lattice import f2_echelon, f2_solve
@@ -14,7 +16,6 @@ from idealspin.spin import spin_prime_stream
 from idealspin.lattice import gauss_jordan
 from idealspin.units import (
     _dot,
-    _embedding_upper_bound,
     _enumerate_small_units,
     _float_identity,
     build_domain,
@@ -232,14 +233,14 @@ def test_class_counts(shanks1, dom1):
     assert c0 == hist[min(hist)] or c0 in hist.values()
 
 
-@pytest.mark.parametrize("name", ["shanks1", "quad5"])
+@pytest.mark.parametrize("name", ["shanks1", "shanks4", "quad5"])
 def test_census_contains_search_generators(request, name):
     """Differential check of two pipelines: for every degree-one prime P of
     norm p <= 2000, the census elements of norm p lying in P include the
     canonical generator found by the lattice search, and there is exactly
     one of them unless all of them lie on the domain boundary."""
     ctx = request.getfixturevalue(name)
-    dom = request.getfixturevalue({"shanks1": "dom1", "quad5": "dom5"}[name])
+    dom = request.getfixturevalue({"shanks1": "dom1", "shanks4": "dom4", "quad5": "dom5"}[name])
     X = 2000
     by_norm: dict = {}
     for coords in domain_elements(dom, X):
@@ -256,7 +257,8 @@ def test_census_contains_search_generators(request, name):
                        for c in in_prime), rec.prime
             boundary += 1
         checked += 1
-    assert (checked, boundary) == {"shanks1": (292, 1), "quad5": (293, 1)}[name]
+    assert (checked, boundary) == {"shanks1": (292, 1), "shanks4": (298, 1),
+                                   "quad5": (293, 1)}[name]
 
 
 def test_embedding_size_comparability(shanks1, dom1):
@@ -307,12 +309,8 @@ def _reference_reduce(dom, e):
 def test_reduce_to_domain_matches_reference(request, name):
     """500 random totally positive elements, the census's boundary elements
     of norm <= 200, and a unit-square multiple of each."""
-    if name == "shanks4":
-        ctx = construct_field("shanks_cubic", 4)
-        dom = build_domain(ctx)
-    else:
-        ctx = request.getfixturevalue(name)
-        dom = request.getfixturevalue({"shanks1": "dom1", "quad5": "dom5"}[name])
+    ctx = request.getfixturevalue(name)
+    dom = request.getfixturevalue({"shanks1": "dom1", "shanks4": "dom4", "quad5": "dom5"}[name])
     gens = [u for u in ctx.unit_generators if u != ctx.coerce(-1)]
     rng = random.Random(17)
     # boundary elements have equal-trace mates, so the component search runs
@@ -327,9 +325,23 @@ def test_reduce_to_domain_matches_reference(request, name):
             assert reduce_to_domain(dom, x) == _reference_reduce(dom, x), x
 
 
+def _embedding_upper_bound(dom, X: int) -> Fraction:
+    """The oracle's own bound, independent of the census's trace-cone box:
+    a closed-domain element of norm <= X satisfies e^(k)^n <= X (2U)^(n-1),
+    with U the contracting conjugates' peak."""
+    n = dom.ctx.degree
+    twoU = 2 * dom.conjugate_bound
+    target = X * twoU ** (n - 1)
+    guess = Fraction(int(float(target) ** (1.0 / n) * 1.01) + 1)
+    while guess**n < target:
+        guess = guess * Fraction(105, 100)
+    return guess
+
+
 def _census_oracle(dom, X, slack=1.25):
     """Every totally positive closed-domain element of norm <= X inside a
-    box `slack` times the census's coordinate box.  For each tail
+    box `slack` times the V^-1 image of the embedding cube [0, Y]^n, with Y
+    from _embedding_upper_bound.  For each tail
     (a1, ..., a_{n-1}) the elementary symmetric functions e_j of the
     embeddings of a0 + tail are exact integer polynomials in a0; total
     positivity is e_j > 0 for all j (the field is totally real), which holds
@@ -378,3 +390,39 @@ def test_census_matches_exhaustive_oracle(request, name, X):
     want = _census_oracle(dom, X)
     assert len(want) > 50
     assert domain_elements(dom, X) == want
+
+
+@pytest.mark.parametrize("keep", [1, 0])
+def test_census_rejects_a_cone_that_is_not_pointed(dom5, keep):
+    """One trace row leaves a half-plane and none the whole plane; both hold
+    a line, and the census refuses them instead of scanning an unbounded
+    box."""
+    flat = dataclasses.replace(dom5, trace_rows=dom5.trace_rows[:keep], _census={})
+    with pytest.raises(HypothesisViolated):
+        domain_elements(flat, 100)
+
+
+@pytest.mark.parametrize("m,count,digest", [
+    (-1, 644, "4d95182a0b94"), (0, 626, "03fc9e20a469"), (1, 482, "333ebcf69b53"),
+    (2, 482, "80228413e5b7"), (3, 626, "9cb2abeb069e"), (4, 644, "f29f60d18b40"),
+    (5, 629, "dff694ebf6cd"), (7, 518, "0fba2ef92f93"),
+])
+def test_census_golden(m, count, digest):
+    """The census at X = 1500 on eight Shanks cubics, pinned from the
+    coordinate-box sweep that preceded the trace-cone box."""
+    dom = build_domain(construct_field("shanks_cubic", m))
+    els = domain_elements(dom, 1500)
+    assert len(els) == count
+    assert hashlib.sha1(repr(els).encode()).hexdigest()[:12] == digest
+
+
+def test_census_rejects_a_ray_that_is_not_totally_positive(quad5, dom5):
+    """The rows T(x) + a0 and T(x) + a1 cut out the quadrant a0, a1 >= 0;
+    its ray alpha = (1 + sqrt 5)/2 has a negative conjugate, so the cone
+    holds points outside the totally positive cone."""
+    quadrant = tuple(tuple(t + d for t, d in zip(dom5.identity_row, e))
+                     for e in ((1, 0), (0, 1)))
+    assert not quad5.is_totally_positive(quad5.alpha)
+    bad = dataclasses.replace(dom5, trace_rows=quadrant, _census={})
+    with pytest.raises(HypothesisViolated, match="not totally positive"):
+        domain_elements(bad, 100)
