@@ -41,7 +41,6 @@ from .units import (
     find_contracting_unit,
     make_totally_positive,
     reduce_to_domain,
-    unit_group_data,
     verify_unit_plus_square,
 )
 

@@ -25,8 +25,8 @@ from .ideals import (
     tau,
 )
 from .logcomb import LogCombination
-from .spin import CongruenceFilter, canonical_ideal_generator, spin_prime_stream
-from .symbols import DirichletChar, residue_symbol
+from .spin import spin, spin_prime_stream
+from .symbols import DirichletChar
 from .units import FundamentalDomain
 
 DEFAULT_BUDGET = 10_000_000
@@ -55,19 +55,14 @@ def ones_sequence() -> SequenceA:
     return SequenceA(lambda I: 1, name="ones")
 
 
-def spin_sequence(ctx, dom: FundamentalDomain, mod_M=None) -> SequenceA:
-    """a_n = r(n) * spin(n): spin of odd principal ideals, optionally
-    restricted by the progression indicator r (some totally positive
-    generator = mu mod M)."""
-    filt = CongruenceFilter(ctx, [(mod_M[0], tuple(mod_M[1]))]) if mod_M else None
+def spin_sequence(ctx, dom: FundamentalDomain) -> SequenceA:
+    """a_n = spin(sigma, n) on odd principal ideals, 0 on the unit ideal and
+    on even ideals."""
 
     def fn(ideal: IdealFactorization) -> int:
         if ideal.is_unit_ideal() or not ideal.is_odd():
             return 0
-        g = canonical_ideal_generator(ctx, dom, ideal)
-        if filt is not None and not filt.admits(g):
-            return 0
-        return residue_symbol(ctx, g, apply_galois_ideal(ctx, ideal, 1))
+        return spin(ctx, dom, ideal, 1)
 
     return SequenceA(fn, name="spin", ctx=ctx)
 

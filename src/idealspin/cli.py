@@ -15,7 +15,7 @@ import random
 import sys
 
 from . import analytic, involution, selmer
-from .arith import sieve_primes
+from .arith import is_prime, sieve_primes
 from .errors import HypothesisViolated, IdealspinError
 from .fields import construct_field
 from .ideals import enumerate_ideals, enumerate_prime_ideals, split_prime
@@ -49,8 +49,31 @@ def parse_field(spec: str):
     return construct_field(_FAMILIES[name], int(param))
 
 
-def parse_coords(s: str):
-    return tuple(int(t) for t in s.split(","))
+def parse_coords(s: str) -> tuple[int, ...]:
+    """'1,0,0' -> (1, 0, 0); an argparse type."""
+    try:
+        return tuple(int(t) for t in s.split(","))
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"bad coordinates {s!r}; use e.g. 1,0,0") from None
+
+
+def parse_class_mod(s: str) -> tuple[int, tuple[int, ...]]:
+    """'16:1,0,0' -> (16, (1, 0, 0)): a modulus M >= 1 and a class mod M."""
+    ms, sep, cs = s.partition(":")
+    if not (sep and ms.isdecimal() and int(ms) >= 1):
+        raise argparse.ArgumentTypeError(f"bad class {s!r}; use M:coords, e.g. 16:1,0,0")
+    return int(ms), parse_coords(cs)
+
+
+def parse_lower(s: str):
+    """'13:7' -> ('prime', (13, 7)), the prime above 13 with root 7 of f mod
+    13; '1,0,2' -> ('element', (1, 0, 2)).  An argparse type."""
+    if ":" not in s:
+        return "element", parse_coords(s)
+    p, _, r = s.partition(":")
+    if not (p.isdecimal() and is_prime(int(p)) and r.removeprefix("-").isdecimal()):
+        raise argparse.ArgumentTypeError(f"bad prime {s!r}; use p:r with p prime, e.g. 13:7")
+    return "prime", (int(p), int(r) % int(p))
 
 
 def _load_config(path):
@@ -88,17 +111,18 @@ def build_parser():
     p.add_argument("--max-norm", type=int, default=100)
     p.add_argument("--degree-one-only", action="store_true")
     p = cmd("symbol")
-    p.add_argument("--upper", required=True, help="element coords a,b,c")
-    p.add_argument("--lower", required=True, help="prime p:r or element coords")
+    p.add_argument("--upper", required=True, type=parse_coords, help="element coords a,b,c")
+    p.add_argument("--lower", required=True, type=parse_lower,
+                   help="prime p:r or element coords")
     p = cmd("spins", workers=True)
     p.add_argument("--max-norm", type=int, default=100)
     p.add_argument("--degree-one-only", action="store_true")
-    p.add_argument("--mod8", help="target coords mod 8, e.g. 1,0,0")
-    p.add_argument("--modM", help="M:coords, e.g. 16:1,0,0")
+    p.add_argument("--mod8", type=parse_coords, help="target coords mod 8, e.g. 1,0,0")
+    p.add_argument("--modM", type=parse_class_mod, help="M:coords, e.g. 16:1,0,0")
     p = cmd("spin-sum")
     p.add_argument("--max-norm", type=int, default=1000)
     p.add_argument("--k", type=int, default=1)
-    p.add_argument("--mod8", default=None)
+    p.add_argument("--mod8", type=parse_coords)
     p = cmd("vaughan-verify")
     p.add_argument("--x", type=int, default=400)
     p.add_argument("--sequence", choices=("spin", "ones"), default="spin")
@@ -215,9 +239,9 @@ def _emit_csv(header, rows, out):
 def run(argv=None, out=sys.stdout, err=sys.stderr) -> int:
     top = build_parser()
     args = top.parse_args(argv)
+    subparser = top._subparsers._group_actions[0].choices[args.command]
     if args.config:
         defaults = _load_config(args.config)
-        subparser = top._subparsers._group_actions[0].choices[args.command]
         unread = sorted(set(defaults) - {a.dest for a in subparser._actions})
         if unread:
             top.error(f"config key(s) not read by {args.command}: {', '.join(unread)}")
@@ -226,21 +250,20 @@ def run(argv=None, out=sys.stdout, err=sys.stderr) -> int:
                 raw = defaults[action.dest]
                 if isinstance(action, argparse._StoreTrueAction):
                     action.default = raw.lower() in ("1", "true", "yes")
-                elif action.type is not None:
-                    action.default = action.type(raw)
                 else:
-                    action.default = raw
+                    action.default = raw  # argparse applies the type to it
         args = top.parse_args(argv)  # explicit flags still win over the file
 
     try:
-        return _dispatch(args, out, err)
+        return _dispatch(args, out, err, subparser.error)
     except IdealspinError as e:
         json.dump({"error": type(e).__name__, "message": str(e)}, err)
         err.write("\n")
         return 2
 
 
-def _dispatch(args, out, err) -> int:
+def _dispatch(args, out, err, usage) -> int:
+    """Run one parsed command; usage(message) exits 1 with a usage error."""
     cmd = args.command
 
     if cmd == "selftest":
@@ -271,6 +294,12 @@ def _dispatch(args, out, err) -> int:
         return 0
 
     ctx = parse_field(args.field)
+
+    def coords(flag, value):
+        # coordinates from a flag, checked against the degree of the field
+        if value is not None and len(value) != ctx.degree:
+            usage(f"argument {flag}: {ctx.degree} coordinates needed, got {len(value)}")
+        return value
 
     if cmd == "field-info":
         info = {
@@ -324,24 +353,23 @@ def _dispatch(args, out, err) -> int:
         return 0
 
     if cmd == "symbol":
-        e = ctx.element(parse_coords(args.upper))
-        if ":" in args.lower:
-            ps, rs = args.lower.split(":")
-            pr = next(q for q in split_prime(ctx, int(ps))
-                      if q.r == int(rs) % int(ps))
-            val = residue_symbol(ctx, e, pr)
+        e = ctx.element(coords("--upper", args.upper))
+        kind, lower = args.lower
+        if kind == "prime":
+            p, r = lower
+            lower = next((q for q in split_prime(ctx, p) if q.r == r), None)
+            if lower is None:
+                usage(f"argument --lower: {r} is not a root of f mod {p}")
         else:
-            val = residue_symbol(ctx, e, ctx.element(parse_coords(args.lower)))
-        out.write(f"{val}\n")
+            lower = ctx.element(coords("--lower", lower))
+        out.write(f"{residue_symbol(ctx, e, lower)}\n")
         return 0
 
     if cmd == "spins":
+        mod8, modM = coords("--mod8", args.mod8), args.modM
+        if modM:
+            coords("--modM", modM[1])
         dom = build_domain(ctx)
-        mod8 = parse_coords(args.mod8) if args.mod8 else None
-        modM = None
-        if args.modM:
-            ms, cs = args.modM.split(":")
-            modM = (int(ms), parse_coords(cs))
         blocks = _norm_blocks(args.max_norm)
         chunks = _run_blocks((ctx, dom, args.degree_one_only, mod8, modM),
                              _spins_block, blocks, args.workers)
@@ -357,8 +385,8 @@ def _dispatch(args, out, err) -> int:
         return 0
 
     if cmd == "spin-sum":
+        mod8 = coords("--mod8", args.mod8)
         dom = build_domain(ctx)
-        mod8 = parse_coords(args.mod8) if args.mod8 else None
         total, count = analytic.spin_sum(ctx, dom, args.max_norm, k=args.k,
                                          mod8_class=mod8)
         json.dump({"X": args.max_norm, "k": args.k, "sum": total, "count": count,

@@ -14,7 +14,7 @@ from math import gcd, isqrt
 
 from .arith import factorint, iroot_ceil, poly_powmod, poly_roots_modp, sieve_primes, split_linear
 from .errors import GeneratorNotFound
-from .lattice import hnf_contains, hnf_det, lattice_product, lll_reduce, short_vectors
+from .lattice import hnf_det, hnf_residue, lattice_product, lll_reduce, short_vectors
 from .logcomb import LogCombination
 
 
@@ -274,7 +274,7 @@ def ideal_lattice(ctx, ideal: IdealFactorization):
 def element_in_ideal(ctx, element, ideal: IdealFactorization) -> bool:
     if not element.is_integral():
         return False
-    return hnf_contains(ideal_lattice(ctx, ideal), [int(c) for c in element.coords])
+    return not any(hnf_residue(ideal_lattice(ctx, ideal), [int(c) for c in element.coords]))
 
 
 def element_in_prime(ctx, element, prime: PrimeIdealData) -> bool:
@@ -329,7 +329,7 @@ def factor_element(ctx, element) -> IdealFactorization:
             coords = [int(c) for c in element.coords]
             while True:
                 cur = lattice_product(ctx, cur, lat)
-                if k * pr.f >= vp or not hnf_contains(cur, coords):
+                if k * pr.f >= vp or any(hnf_residue(cur, coords)):
                     break
                 k += 1
             acc[pr] = k

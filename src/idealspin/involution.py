@@ -20,11 +20,10 @@ from .ideals import (
     elements_coprime,
     galois_prime,
     prime_ideals_in_norm_range,
-    prime_power_ideal,
 )
 from .spin import canonical_ideal_generator
 from .symbols import prime_symbol, residue_symbol
-from .units import FundamentalDomain
+from .units import FundamentalDomain, square_multiplier
 
 
 @dataclass(frozen=True)
@@ -46,12 +45,15 @@ def _require_quadratic(ctx):
         raise ValueError("involution spins need a real quadratic field")
 
 
-def qualifying_generator(ctx, dom: FundamentalDomain, prime: PrimeIdealData):
-    """A totally positive generator = 1 mod 8, found by walking the cyclic
-    image of the squared fundamental unit in (O/8)^x; None if the orbit
-    misses the class."""
+def qualifying_generator(ctx, dom: FundamentalDomain, prime):
+    """A totally positive generator = 1 mod 8 of a prime (or an ideal
+    factorization): g * eps^(2k) for the canonical generator g and the least
+    k >= 0, read from the table of unit-square classes mod 8
+    (units.square_multiplier); None if no eps^(2k) reaches the class."""
     _require_quadratic(ctx)
-    return _qualifying_generator_of_ideal(ctx, dom, prime_power_ideal(prime))
+    g = canonical_ideal_generator(ctx, dom, prime)
+    w = square_multiplier(ctx, ((8, ctx.coords_mod(ctx.one, 8)),), g)
+    return None if w is None else g * w
 
 
 def spin_involution_direct(ctx, dom: FundamentalDomain, ideal) -> int:
@@ -61,35 +63,17 @@ def spin_involution_direct(ctx, dom: FundamentalDomain, ideal) -> int:
     if isinstance(ideal, PrimeIdealData):
         if ideal.e > 1 or ideal.f > 1 or ideal.p == 2:
             return 0  # conjugate shares the prime (or even): symbol vanishes
-        pi = qualifying_generator(ctx, dom, ideal)
-        if pi is None:
-            raise HypothesisViolated("no totally positive generator = 1 mod 8")
-        return prime_symbol(ctx, pi, galois_prime(ctx, ideal, 1))
-    if not isinstance(ideal, IdealFactorization):
+        conj = galois_prime(ctx, ideal, 1)
+    elif isinstance(ideal, IdealFactorization):
+        conj = apply_galois_ideal(ctx, ideal, 1)
+        if not ideal.coprime_to(conj):
+            return 0
+    else:
         raise TypeError("need a prime or an ideal factorization")
-    if not ideal.coprime_to(apply_galois_ideal(ctx, ideal, 1)):
-        return 0
-    pi = _qualifying_generator_of_ideal(ctx, dom, ideal)
+    pi = qualifying_generator(ctx, dom, ideal)
     if pi is None:
         raise HypothesisViolated("no totally positive generator = 1 mod 8")
-    return residue_symbol(ctx, pi, apply_galois_ideal(ctx, ideal, 1))
-
-
-def _qualifying_generator_of_ideal(ctx, dom, ideal):
-    g = canonical_ideal_generator(ctx, dom, ideal)
-    eps2 = ctx.unit_generators[1] ** 2
-    target = ctx.coords_mod(ctx.one, 8)
-    cur = ctx.coords_mod(g, 8)
-    step = ctx.coords_mod(eps2, 8)
-    pi = g
-    seen = set()
-    while cur not in seen:
-        if cur == target:
-            return pi
-        seen.add(cur)
-        cur = tuple(c % 8 for c in ctx.mul_coords(cur, step))
-        pi = pi * eps2
-    return None
+    return residue_symbol(ctx, pi, conj)
 
 
 def spin_involution_formula(ctx, pi: FieldElement) -> int:
@@ -155,11 +139,12 @@ def eq_10_11_sum(ctx) -> int:
 
 def quad_spin_records(ctx, dom: FundamentalDomain, X: int, lo: int = 1):
     """QuadSpinRecords for qualifying rational primes lo <= p <= X: odd,
-    split, with a totally positive generator = 1 mod 8 of the prime at
-    position 0.  One record per rational prime: the canonical generators of
-    P and its conjugate differ by a totally positive unit eps^(2k), and
-    sigma(eps^2) = eps^-2 while sigma fixes the class 1 mod 8, so both
-    primes qualify alike and carry the same spin."""
+    split, and the prime P at position 0 has a totally positive generator
+    pi = 1 mod 8, which qualifying_generator reads from the unit-square
+    table as g * eps^(2k) with the least k.  One record per rational prime:
+    the canonical generators of P and its conjugate differ by a totally
+    positive unit eps^(2k), and sigma(eps^2) = eps^-2 while sigma fixes the
+    class 1 mod 8, so both primes qualify alike and carry the same spin."""
     _require_quadratic(ctx)
     for prime in prime_ideals_in_norm_range(ctx, lo, X, degree_one_only=True):
         p = prime.p

@@ -3,7 +3,7 @@ coordinate space of a field order.
 
 This is the one home of the matrix kernels: exact determinants (Bareiss),
 Gauss-Jordan solves, elimination over F2, and Hermite normal form bases
-(for ideal arithmetic and membership tests).  On top of them sit LLL
+(for ideal arithmetic, residues and membership tests).  On top of them sit LLL
 reduction with respect to the trace quadratic form Q(v) = sum of squared
 real embeddings = Trace(v^2)-form, and bounded short-vector enumeration.
 LLL is integral (Cohen, Alg. 2.6.7): its Gram-Schmidt data are integers,
@@ -145,16 +145,18 @@ def hnf(vectors, n: int):
     return res
 
 
-def hnf_contains(H, v) -> bool:
-    """Does the lattice with (upper-triangular) HNF basis H contain v?"""
+def hnf_residue(H, v) -> tuple:
+    """Canonical residue of v modulo the lattice with (upper-triangular) HNF
+    basis H: coordinate i ends in [0, H[i][i]).  It is zero exactly when the
+    lattice contains v."""
     w = list(v)
-    for i in range(len(H)):
-        if w[i] % H[i][i]:
-            return False
-        c = w[i] // H[i][i]
-        if c:
-            w = [a - c * b for a, b in zip(w, H[i])]
-    return all(x == 0 for x in w)
+    n = len(H)
+    for i in range(n):
+        q = w[i] // H[i][i]
+        if q:
+            for j in range(i, n):
+                w[j] -= q * H[i][j]
+    return tuple(w)
 
 
 def hnf_det(H) -> int:

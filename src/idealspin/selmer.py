@@ -15,8 +15,8 @@ from .arith import factorint, sieve_primes
 from .errors import GeneratorNotFound, HypothesisViolated
 from .fields import FieldContext, FieldElement, construct_field, find_root_in_field, poly_discriminant
 from .ideals import prime_ideals_in_norm_range
-from .spin import CongruenceFilter, spin_record
-from .units import FundamentalDomain
+from .spin import spin_record
+from .units import FundamentalDomain, square_multiplier
 
 
 @dataclass(frozen=True)
@@ -108,7 +108,7 @@ def scan_twist_candidates(cfg: CurveConfig, dom: FundamentalDomain, X: int,
     The spin is computed for every prime above p and checked to be
     independent of the choice; GeneratorNotFound is surfaced per prime."""
     ctx = cfg.ctx
-    filt = CongruenceFilter(ctx, [(8, tuple(ctx.coords_mod(ctx.one, 8)))])
+    one_mod_8 = ((8, ctx.coords_mod(ctx.one, 8)),)
     above: dict[int, list] = {}
     for pr in prime_ideals_in_norm_range(ctx, lo, X, degree_one_only=True):
         above.setdefault(pr.p, []).append(pr)
@@ -131,7 +131,7 @@ def scan_twist_candidates(cfg: CurveConfig, dom: FundamentalDomain, X: int,
             raise ArithmeticError(
                 f"spin depends on the prime above {p}"
             )  # pragma: no cover - would falsify Galois invariance
-        if not filt.admits(recs[0].generator):
+        if square_multiplier(ctx, one_mod_8, recs[0].generator) is None:
             if include_disqualified:
                 yield TwistCandidate(p, True, False, None, None,
                                      "no_generator_1_mod_8")

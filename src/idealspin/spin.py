@@ -4,12 +4,12 @@ structural relations (conjugation, twisted multiplicativity).
 
 The canonical generator of an ideal is fixed once: totally positive,
 trace-minimal in the closed fundamental domain, lexicographic tie-break.
-Congruence filters never move the generator; they search the finite image
-of unit squares modulo the filter modulus.
+Congruence filters never move the generator; they ask units.square_multiplier
+whether some unit-square multiple of it lies in the target classes, one
+lookup in a table of the unit squares' classes modulo the filter moduli.
 """
 
 from dataclasses import dataclass
-from math import lcm
 
 from .errors import EvenIdeal, GeneratorNotFound, NotCoprime
 from .fields import FieldElement
@@ -22,9 +22,8 @@ from .ideals import (
     prime_ideals_in_norm_range,
     prime_power_ideal,
 )
-from .lattice import det
 from .symbols import mu_and_mu2, prime_symbol, residue_symbol
-from .units import FundamentalDomain, canonical_generator, unit_square_image
+from .units import FundamentalDomain, canonical_generator, square_multiplier
 
 
 @dataclass(frozen=True)
@@ -32,8 +31,6 @@ class SpinRecord:
     prime: PrimeIdealData
     generator: FieldElement
     spins: tuple[int, ...]          # index k-1 holds spin(sigma^k)
-    gen_mod8: tuple[int, ...]
-    gen_mod_M: tuple[int, ...] | None = None
 
 
 def canonical_ideal_generator(ctx, dom: FundamentalDomain, ideal) -> FieldElement:
@@ -56,34 +53,10 @@ def spin(ctx, dom: FundamentalDomain, ideal, k: int) -> int:
 
 
 # ---------------------------------------------------------------------------
-# inverse of a residue modulo a rational modulus
-
-
-def invert_mod(ctx, coords, modulus: int) -> tuple[int, ...]:
-    """Inverse of an element in O/(modulus), by Cramer's rule on its
-    multiplication matrix; requires gcd(N(element), modulus) = 1."""
-    n = ctx.degree
-    # multiplication matrix M[i][j] = (g * alpha^j)_i mod modulus
-    cols = []
-    basis = [tuple(1 if t == j else 0 for t in range(n)) for j in range(n)]
-    for b in basis:
-        cols.append([int(c) % modulus for c in ctx.mul_coords(coords, b)])
-    M = [[cols[j][i] % modulus for j in range(n)] for i in range(n)]
-    dinv = pow(det(M) % modulus, -1, modulus)
-    # the inverse solves M x = e0: x_i = det(M with column i set to e0) / det(M)
-    return tuple(
-        det([row[:i] + [1 if r == 0 else 0] + row[i + 1:] for r, row in enumerate(M)])
-        * dinv % modulus
-        for i in range(n)
-    )
-
-
-# ---------------------------------------------------------------------------
 # spin records and streams
 
 
-def spin_record(ctx, dom: FundamentalDomain, prime: PrimeIdealData,
-                mod_M: int | None = None) -> SpinRecord:
+def spin_record(ctx, dom: FundamentalDomain, prime: PrimeIdealData) -> SpinRecord:
     """Canonical generator and all n-1 spin values for one prime ideal.
     Even primes carry zero spins (the symbol has no +-1 value there)."""
     n = ctx.degree
@@ -92,44 +65,13 @@ def spin_record(ctx, dom: FundamentalDomain, prime: PrimeIdealData,
         g = canonical_generator(dom, ctx.coerce(p))
     else:
         g = canonical_ideal_generator(ctx, dom, prime)
-    if p == 2:
-        spins = (0,) * (n - 1)
-    elif prime.f > 1 or prime.e > 1:
-        # sigma fixes the prime; the generator sits in it, so every spin is 0
+    if p == 2 or prime.f > 1 or prime.e > 1:
+        # no +-1 symbol at 2; otherwise sigma fixes the prime and the
+        # generator sits in it, so every spin is 0
         spins = (0,) * (n - 1)
     else:
         spins = tuple(prime_symbol(ctx, g, galois_prime(ctx, prime, k)) for k in range(1, n))
-    return SpinRecord(
-        prime,
-        g,
-        spins,
-        ctx.coords_mod(g, 8),
-        ctx.coords_mod(g, mod_M) if mod_M else None,
-    )
-
-
-class CongruenceFilter:
-    """Tests whether some unit-square multiple of a generator lies in fixed
-    residue classes: one joint search over the image of unit squares modulo
-    the lcm of all filter moduli."""
-
-    def __init__(self, ctx, conditions: list[tuple[int, tuple[int, ...]]]):
-        self.ctx = ctx
-        self.conditions = conditions
-        self.joint = lcm(*(m for m, _ in conditions)) if conditions else 1
-        image = unit_square_image(ctx, self.joint) if conditions else frozenset()
-        self.image_keys = {
-            tuple(tuple(c % m for c in s) for m, _ in conditions) for s in image
-        }
-
-    def admits(self, g: FieldElement) -> bool:
-        if not self.conditions:
-            return True
-        key = []
-        for m, target in self.conditions:
-            ginv = invert_mod(self.ctx, g.coords, m)
-            key.append(tuple(c % m for c in self.ctx.mul_coords(target, ginv)))
-        return tuple(key) in self.image_keys
+    return SpinRecord(prime, g, spins)
 
 
 def spin_prime_stream(ctx, dom: FundamentalDomain, X: int,
@@ -140,24 +82,23 @@ def spin_prime_stream(ctx, dom: FundamentalDomain, X: int,
     """SpinRecords for prime ideals with lo <= norm <= X, in the order of
     prime_ideals_in_norm_range.  Yields ('record', SpinRecord) and, for
     primes whose generator search failed, ('generator_not_found',
-    PrimeIdealData); the caller decides how to account for those."""
+    PrimeIdealData); the caller decides how to account for those.  With
+    mod8_class or mod_M = (M, class), a record is kept only for an odd prime
+    with a unit-square multiple of its generator in every given class."""
     conditions = []
     if mod8_class is not None:
-        conditions.append((8, tuple(mod8_class)))
+        conditions.append((8, mod8_class))
     if mod_M is not None:
-        M, mu = mod_M
-        conditions.append((M, tuple(mu)))
-    filt = CongruenceFilter(ctx, conditions)
+        conditions.append(mod_M)
     for prime in prime_ideals_in_norm_range(ctx, lo, X, degree_one_only):
         try:
-            rec = spin_record(ctx, dom, prime, mod_M=mod_M[0] if mod_M else None)
+            rec = spin_record(ctx, dom, prime)
         except GeneratorNotFound:
             yield ("generator_not_found", prime)
             continue
-        if conditions and prime.p == 2:
-            continue  # even primes cannot satisfy odd congruence filters
-        if not filt.admits(rec.generator):
-            continue
+        if conditions and (prime.p == 2
+                           or square_multiplier(ctx, conditions, rec.generator) is None):
+            continue  # filtered streams keep odd primes only
         yield ("record", rec)
 
 

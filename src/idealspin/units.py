@@ -12,7 +12,7 @@ import weakref
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations, product
-from math import gcd, log
+from math import gcd, lcm, log
 from operator import mul
 
 from .arith import iroot_ceil
@@ -25,7 +25,7 @@ from .errors import (
 )
 from .fields import FieldElement
 from .ideals import ideal_lattice
-from .lattice import det, f2_echelon, f2_solve, gauss_jordan
+from .lattice import det, f2_echelon, f2_solve, gauss_jordan, hnf_residue
 
 # Scalings of the log-embedding solution tried for the contracting unit.
 CONTRACTING_MAX_SCALE = 40
@@ -57,35 +57,53 @@ def _unit_signs(ctx):
     return got
 
 
-@dataclass(frozen=True)
-class UnitGroupData:
-    generators: tuple
-    sign_matrix: tuple
-    mod8_square_image: frozenset
+_square_tables: "weakref.WeakKeyDictionary" = weakref.WeakKeyDictionary()
 
 
-def unit_group_data(ctx) -> UnitGroupData:
-    signs = tuple(sign_to_f2(s) for s in _unit_signs(ctx)[0])
-    return UnitGroupData(ctx.unit_generators, signs, unit_square_image(ctx, 8))
+def square_multiplier(ctx, conditions, g: FieldElement):
+    """The unit square w with g*w = t (mod m) for every (m, t) in
+    conditions, or None when no unit square does it.  For a real quadratic
+    field this is eps^(2k) with the least k >= 0.
+
+    The unit squares have a finite image mod M, the lcm of the moduli.  One
+    walk over it per context and conditions files each w under the classes
+    (t * w^-1 mod m).  g*w = t for every condition exactly when g lies in
+    those classes, so a query is one reduction of g mod M and one lookup,
+    whether or not g is invertible mod M."""
+    conditions = tuple((m, tuple(t)) for m, t in conditions)
+    tables = _square_tables.setdefault(ctx, {})
+    if conditions not in tables:
+        tables[conditions] = _square_table(ctx, conditions)
+    M, table = tables[conditions]
+    r = ctx.coords_mod(g, M)
+    exps = table.get(tuple(tuple(c % m for c in r) for m, _ in conditions))
+    if exps is None:
+        return None
+    w = ctx.one
+    for u, e in zip(ctx.unit_generators, exps):
+        w = w * u ** (2 * e)
+    return w
 
 
-def unit_square_image(ctx, modulus: int) -> frozenset:
-    """The subgroup of (O/modulus)^x generated by the squares of the unit
-    generators, as a set of coordinate tuples mod modulus."""
-    gens = []
-    for u in ctx.unit_generators:
-        g2 = u * u
-        gens.append(ctx.coords_mod(g2, modulus))
-    seen = {ctx.coords_mod(ctx.one, modulus)}
-    frontier = list(seen)
-    while frontier:
-        cur = frontier.pop()
-        for g in gens:
-            nxt = tuple(c % modulus for c in ctx.mul_coords(cur, g))
+def _square_table(ctx, conditions):
+    """(M, table): the classes (t * w^-1 mod m) of every unit square w, each
+    mapped to the exponents e of the first w = prod u_j^(2 e_j) met in a
+    breadth-first walk over the inverse squares u_j^-2 mod M."""
+    M = lcm(*(m for m, _ in conditions))
+    steps = [ctx.coords_mod(u ** -2, M) for u in ctx.unit_generators]
+    start = ctx.coords_mod(ctx.one, M)
+    seen = {start}
+    walk = [(start, (0,) * len(steps))]
+    table: dict = {}
+    for v, exps in walk:  # walk grows while it is read: breadth first
+        key = tuple(tuple(c % m for c in ctx.mul_coords(t, v)) for m, t in conditions)
+        table.setdefault(key, exps)
+        for j, s in enumerate(steps):
+            nxt = tuple(c % M for c in ctx.mul_coords(v, s))
             if nxt not in seen:
                 seen.add(nxt)
-                frontier.append(nxt)
-    return frozenset(seen)
+                walk.append((nxt, exps[:j] + (exps[j] + 1,) + exps[j + 1:]))
+    return M, table
 
 
 def make_totally_positive(ctx, e: FieldElement) -> FieldElement:
@@ -510,7 +528,7 @@ def domain_class_counts(dom: FundamentalDomain, X: int, ideal) -> dict:
     H = ideal_lattice(ctx, ideal)
     hist: dict = {}
     for coords in domain_elements(dom, X):
-        r = _residue_canonical(H, list(coords))
+        r = hnf_residue(H, coords)
         hist[r] = hist.get(r, 0) + 1
     cache[key] = hist
     return hist
@@ -521,16 +539,6 @@ def count_in_domain(dom: FundamentalDomain, X: int, ideal, nu) -> int:
     congruent to nu mod the ideal."""
     ctx = dom.ctx
     H = ideal_lattice(ctx, ideal)
-    target = _residue_canonical(H, [int(c) for c in ctx.coerce(nu).coords])
+    target = hnf_residue(H, [int(c) for c in ctx.coerce(nu).coords])
     return domain_class_counts(dom, X, ideal).get(target, 0)
 
-
-def _residue_canonical(H, v) -> tuple:
-    w = list(v)
-    n = len(H)
-    for i in range(n):
-        q = w[i] // H[i][i]
-        if q:
-            for j in range(i, n):
-                w[j] -= q * H[i][j]
-    return tuple(w)

@@ -125,6 +125,30 @@ def test_flag_not_read_by_command_is_usage_error(argv):
     assert exc.value.code == 1
 
 
+@pytest.mark.parametrize("argv", [
+    ("spins", "--modM", "15"),
+    ("spins", "--modM", "0:1,0,0"),
+    ("spins", "--mod8", "a,b,c"),
+    ("spins", "--mod8", "1,0"),
+    ("symbol", "--upper", "1,1", "--lower", "13:7"),
+    ("symbol", "--upper", "0,1,0", "--lower", "13:5"),
+], ids=" ".join)
+def test_malformed_argument_is_usage_error(argv):
+    """Bad syntax, a coordinate count that does not fit the cubic field and
+    an r that is not a root of f mod 13 all exit 1 with an error line.  Run
+    as a process, so the test sees what a user sees: an uncaught exception
+    would also exit 1, but with a traceback on stderr."""
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    proc = subprocess.run([sys.executable, "-m", "idealspin.cli", *argv,
+                           "--field", "shanks:1"],
+                          capture_output=True, text=True, timeout=60, env=env)
+    assert proc.returncode == 1
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr.splitlines()[-1].startswith("error: argument ")
+    assert proc.stdout == ""
+
+
 def test_primes_csv_header():
     code, out, _ = run_cli("primes", "--max-norm", "13")
     lines = out.strip().splitlines()

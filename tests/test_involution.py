@@ -16,6 +16,7 @@ from idealspin.involution import (
     spin_involution_direct,
     spin_involution_formula,
 )
+from idealspin.spin import canonical_ideal_generator
 from idealspin.units import build_domain
 
 
@@ -33,6 +34,43 @@ def test_qualifying_generator(quad5, dom5):
         assert quad5.is_totally_positive(pi)
         assert abs(pi.norm()) == p
     assert found > 0
+
+
+def _walk_qualifying_generator(ctx, dom, prime):
+    """Reference: walk g * eps^(2k), k = 0, 1, ..., mod 8 until it reaches
+    1 or repeats; g the canonical generator."""
+    g = canonical_ideal_generator(ctx, dom, prime)
+    eps2 = ctx.unit_generators[1] ** 2
+    target = ctx.coords_mod(ctx.one, 8)
+    cur = ctx.coords_mod(g, 8)
+    step = ctx.coords_mod(eps2, 8)
+    pi = g
+    seen = set()
+    while cur not in seen:
+        if cur == target:
+            return pi
+        seen.add(cur)
+        cur = tuple(c % 8 for c in ctx.mul_coords(cur, step))
+        pi = pi * eps2
+    return None
+
+
+@pytest.mark.parametrize("d", [5, 13, 41])
+def test_qualifying_generator_matches_eps2_walk(d):
+    """The table lookup returns the walk's generator (least k) for the prime
+    at position 0 above every split odd p <= 20000, so the beta column of
+    quad-spins does not move."""
+    ctx = construct_field("real_quadratic", d)
+    dom = build_domain(ctx)
+    found = 0
+    for p in sieve_primes(20000):
+        if p == 2 or d % p == 0 or legendre(d, p) != 1:
+            continue
+        pr = split_prime(ctx, p)[0]
+        pi = qualifying_generator(ctx, dom, pr)
+        assert pi == _walk_qualifying_generator(ctx, dom, pr), p
+        found += pi is not None
+    assert found > 50
 
 
 def test_ramified_direct_zero(quad5, dom5):
@@ -127,8 +165,8 @@ def test_involution_sum_trivial(quad5, dom5):
 
 def test_conjugate_prime_same_spin(quad5, dom5):
     # the stream keeps the prime at position 0; its conjugate must qualify
-    # alike.  beta itself depends on which qualifying generator the orbit
-    # walk found; only the spin (its symbol against d) is a prime invariant
+    # alike.  beta itself depends on which eps^(2k) the unit-square table
+    # picks; only the spin (its symbol against d) is a prime invariant
     records = {rec.p: rec for rec in quad_spin_records(quad5, dom5, 3000)}
     for p in sieve_primes(3000):
         if p in (2, 5) or legendre(5, p) != 1:

@@ -13,17 +13,15 @@ from idealspin.ideals import (
 )
 from idealspin.lattice import lll_reduce, short_vectors
 from idealspin.spin import (
-    CongruenceFilter,
     canonical_ideal_generator,
     collect_spin_records,
     conjugation_relation_check,
-    invert_mod,
     spin,
     spin_record,
     twisted_multiplicativity_check,
 )
 from idealspin.symbols import residue_symbol
-from idealspin.units import canonical_generator
+from idealspin.units import canonical_generator, square_multiplier
 
 
 def test_spin_ramified_zero(shanks1, dom1):
@@ -99,27 +97,16 @@ def test_stream_example(shanks1, dom1):
 
 
 def test_stream_mod8_filter(shanks1, dom1):
+    """The filtered stream keeps exactly the odd primes whose generator has
+    a unit-square multiple = 1 mod 8 (square_multiplier is checked against
+    the brute-force image in test_units)."""
     one = shanks1.coords_mod(shanks1.one, 8)
     recs, _ = collect_spin_records(shanks1, dom1, 3000, mod8_class=one)
     assert recs  # some primes qualify
-    filt = CongruenceFilter(shanks1, [(8, one)])
     all_recs, _ = collect_spin_records(shanks1, dom1, 3000)
-    expect = [r for r in all_recs if r.prime.p != 2 and filt.admits(r.generator)]
+    expect = [r for r in all_recs if r.prime.p != 2
+              and square_multiplier(shanks1, ((8, one),), r.generator) is not None]
     assert [r.prime for r in recs] == [r.prime for r in expect]
-
-
-def test_invert_mod(shanks1):
-    rng = random.Random(32)
-    for m in (8, 16, 56):
-        for _ in range(20):
-            e = shanks1.element(tuple(rng.randint(-9, 9) for _ in range(3)))
-            from math import gcd
-
-            if e.is_zero() or gcd(e.norm(), m) != 1:
-                continue
-            inv = invert_mod(shanks1, e.coords, m)
-            prod = tuple(c % m for c in shanks1.mul_coords(e.coords, inv))
-            assert prod == shanks1.coords_mod(shanks1.one, m)
 
 
 def test_twisted_multiplicativity(shanks1, dom1):

@@ -1,13 +1,15 @@
 import dataclasses
 import hashlib
+import io
 import random
 from fractions import Fraction
 from bisect import bisect_left
 from itertools import product
-from math import comb
+from math import comb, lcm
 
 import pytest
 
+from idealspin import cli
 from idealspin.errors import HypothesisViolated, NotTotallyPositive
 from idealspin.fields import construct_field
 from idealspin.ideals import prime_power_ideal, split_prime
@@ -26,8 +28,7 @@ from idealspin.units import (
     find_contracting_unit,
     make_totally_positive,
     reduce_to_domain,
-    unit_group_data,
-    unit_square_image,
+    square_multiplier,
     verify_unit_plus_square,
 )
 
@@ -127,16 +128,91 @@ def test_make_totally_positive(shanks1):
     assert make_totally_positive(shanks1, shanks1.coerce(-1)) == shanks1.one
 
 
-def test_unit_group_data(shanks1):
-    data = unit_group_data(shanks1)
-    assert len(data.sign_matrix) == len(shanks1.unit_generators)
-    img = data.mod8_square_image
-    one = shanks1.coords_mod(shanks1.one, 8)
-    assert one in img
-    # closed under multiplication by generator squares
-    u2 = shanks1.coords_mod(shanks1.unit_generators[1] ** 2, 8)
-    for s in img:
-        assert tuple(c % 8 for c in shanks1.mul_coords(s, u2)) in img
+def _unit_square_image(ctx, modulus: int) -> frozenset:
+    """Reference: the subgroup of (O/modulus)^x generated by the squares of
+    the unit generators, as coordinate tuples mod modulus."""
+    gens = [ctx.coords_mod(u * u, modulus) for u in ctx.unit_generators]
+    seen = {ctx.coords_mod(ctx.one, modulus)}
+    frontier = list(seen)
+    while frontier:
+        cur = frontier.pop()
+        for g in gens:
+            nxt = tuple(c % modulus for c in ctx.mul_coords(cur, g))
+            if nxt not in seen:
+                seen.add(nxt)
+                frontier.append(nxt)
+    return frozenset(seen)
+
+
+def _image_admits(ctx, image, conditions, g) -> bool:
+    """Reference: some w in the image has g*w = t mod m for every (m, t)."""
+    M = lcm(*(m for m, _ in conditions))
+    r = ctx.coords_mod(g, M)
+    for w in image:
+        gw = ctx.mul_coords(r, w)
+        if all(all((a - b) % m == 0 for a, b in zip(gw, t)) for m, t in conditions):
+            return True
+    return False
+
+
+def test_square_multiplier_matches_image_oracle(shanks1, shanks4, quad5):
+    """square_multiplier against the brute-force image, for the class of 1
+    and a random target class: random elements (many not coprime to the
+    modulus) alternate with elements built to be hits."""
+    rng = random.Random(14)
+    for ctx in (shanks1, shanks4, quad5):
+        n = ctx.degree
+        inverse_squares = [u ** -2 for u in ctx.unit_generators]
+        for moduli, samples in (((8,), 40), ((16,), 40), ((56,), 40), ((8, 15), 12)):
+            M = lcm(*moduli)
+            image = _unit_square_image(ctx, M)
+            assert ctx.coords_mod(ctx.one, M) in image
+            squares = [ctx.coords_mod(u * u, M) for u in ctx.unit_generators]
+            for w in image:  # closed under the generator squares
+                for s in squares:
+                    assert tuple(c % M for c in ctx.mul_coords(w, s)) in image
+            one = (1,) + (0,) * (n - 1)
+            for target in (one, tuple(rng.randrange(M) for _ in range(n))):
+                conditions = tuple((m, target) for m in moduli)
+                hits = 0
+                for k in range(samples):
+                    g = ctx.element(tuple(rng.randint(-30, 30) for _ in range(n)))
+                    if k % 2:  # t * v mod M for a random unit square v^-1: a hit
+                        v = ctx.one
+                        for u2 in inverse_squares:
+                            v = v * u2 ** rng.randint(0, 5)
+                        g = ctx.element(target) * v + g * M
+                    w = square_multiplier(ctx, conditions, g)
+                    assert (w is not None) == _image_admits(ctx, image, conditions, g)
+                    if w is None:
+                        continue
+                    hits += 1
+                    assert ctx.coords_mod(w, M) in image
+                    assert w.norm() == 1 and ctx.is_totally_positive(w)
+                    for m, t in conditions:
+                        assert ctx.coords_mod(g * w, m) == tuple(c % m for c in t)
+                assert hits >= samples // 2
+
+
+def test_spins_mod15_rows_match_image_oracle(shanks1):
+    """--modM 15:1,0,0 meets generators of norm 3 and 5, which are not
+    invertible mod 15: the run succeeds, and its rows are the odd-prime
+    unfiltered rows whose generator the image admits."""
+    argv = ["spins", "--field", "shanks:1", "--max-norm", "3000"]
+    out, unfiltered = io.StringIO(), io.StringIO()
+    assert cli.run(argv + ["--modM", "15:1,0,0"], out, io.StringIO()) == 0
+    assert cli.run(argv, unfiltered, io.StringIO()) == 0
+    image = _unit_square_image(shanks1, 15)
+    conditions = ((15, (1, 0, 0)),)
+    header, *rows = unfiltered.getvalue().splitlines()
+    expect = [header] + [
+        row for row in rows
+        if row.split(",")[0] != "2" and _image_admits(
+            shanks1, image, conditions,
+            shanks1.element(tuple(int(c) for c in row.split(",")[3].split(":"))))
+    ]
+    assert out.getvalue().splitlines() == expect
+    assert len(expect) > 10
 
 
 def test_unit_signs_computed_once_per_context(monkeypatch):
@@ -156,7 +232,7 @@ def test_unit_signs_computed_once_per_context(monkeypatch):
     for e in (a, -a, a * a - 5, ctx.coerce(-3)):
         assert ctx.is_totally_positive(make_totally_positive(ctx, e))
     verify_unit_plus_square(ctx)
-    unit_group_data(ctx)
+    square_multiplier(ctx, ((8, (1, 0, 0)),), a)
     # one sign vector for each argument and each positivity check, none
     # for the unit generators
     assert len(calls) == 8
