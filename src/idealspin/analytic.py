@@ -77,11 +77,9 @@ def spin_sum(ctx, dom: FundamentalDomain, X: int, k: int = 1, mod8_class=None):
     prime_count)."""
     total = 0
     count = 0
-    for kind, item in spin_prime_stream(ctx, dom, X, mod8_class=mod8_class):
-        if kind != "record":
-            continue
+    for rec in spin_prime_stream(ctx, dom, X, mod8_class=mod8_class):
         count += 1
-        total += item.spins[k - 1]
+        total += rec.spins[k - 1]
     return total, count
 
 

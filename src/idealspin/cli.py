@@ -41,12 +41,13 @@ class _Parser(argparse.ArgumentParser):
         sys.exit(1)
 
 
-def parse_field(spec: str):
-    """'shanks:1', 'quad:5', 'lehmer:-1' -> FieldContext."""
+def parse_field(spec: str) -> tuple[str, int]:
+    """'shanks:1', 'quad:5', 'lehmer:-1' -> (family, parameter) for
+    construct_field; an argparse type."""
     name, _, param = spec.partition(":")
-    if name not in _FAMILIES or not param.lstrip("-").isdigit():
-        raise ValueError(f"bad field spec {spec!r}; use e.g. shanks:1 or quad:5")
-    return construct_field(_FAMILIES[name], int(param))
+    if name not in _FAMILIES or not param.removeprefix("-").isdecimal():
+        raise argparse.ArgumentTypeError(f"bad field {spec!r}; use e.g. shanks:1 or quad:5")
+    return _FAMILIES[name], int(param)
 
 
 def parse_coords(s: str) -> tuple[int, ...]:
@@ -93,11 +94,12 @@ def build_parser():
     top.add_argument("--config", help="flat key=value defaults file")
     sub = top.add_subparsers(dest="command", required=True)
 
-    def cmd(name, field=True, workers=False):
+    def cmd(name, field=True, workers=False, description=None):
         # each command registers only the flags it reads
-        p = sub.add_parser(name)
+        p = sub.add_parser(name, description=description)
         if field:
-            p.add_argument("--field", default="shanks:1")
+            p.add_argument("--field", default="shanks:1", type=parse_field,
+                           help="family:parameter, e.g. shanks:1, quad:5 or lehmer:-1")
         if workers:
             p.add_argument("--workers", type=int, default=1)
         return p
@@ -114,12 +116,17 @@ def build_parser():
     p.add_argument("--upper", required=True, type=parse_coords, help="element coords a,b,c")
     p.add_argument("--lower", required=True, type=parse_lower,
                    help="prime p:r or element coords")
-    p = cmd("spins", workers=True)
+    needs_h_plus = ("The field must have narrow class number one: it is certified "
+                    "on first use (Minkowski bound and unit signs), and a field that "
+                    "fails exits 2.")
+    p = cmd("spins", workers=True, description="Canonical generator and spins of "
+            "every prime ideal of norm <= --max-norm. " + needs_h_plus)
     p.add_argument("--max-norm", type=int, default=100)
     p.add_argument("--degree-one-only", action="store_true")
     p.add_argument("--mod8", type=parse_coords, help="target coords mod 8, e.g. 1,0,0")
     p.add_argument("--modM", type=parse_class_mod, help="M:coords, e.g. 16:1,0,0")
-    p = cmd("spin-sum")
+    p = cmd("spin-sum", description="Sum of spin(sigma^k) over the prime ideals "
+            "of norm <= --max-norm. " + needs_h_plus)
     p.add_argument("--max-norm", type=int, default=1000)
     p.add_argument("--k", type=int, default=1)
     p.add_argument("--mod8", type=parse_coords)
@@ -189,18 +196,14 @@ def _spins_block(block):
     lo, hi = block
     ctx, dom, degree_one_only, mod8, modM = _POOL_STATE["payload"]
     rows = []
-    gnf = 0
-    for kind, item in spin_prime_stream(ctx, dom, hi, degree_one_only=degree_one_only,
-                                        mod8_class=mod8, mod_M=modM, lo=lo):
-        if kind == "generator_not_found":
-            gnf += 1
-            continue
-        pr = item.prime
+    for rec in spin_prime_stream(ctx, dom, hi, degree_one_only=degree_one_only,
+                                 mod8_class=mod8, mod_M=modM, lo=lo):
+        pr = rec.prime
         rows.append((pr.norm, pr.p, pr.position,
                      pr.r if pr.r is not None else -1,
-                     ":".join(str(c) for c in item.generator.coords),
-                     item.spins))
-    return rows, gnf
+                     ":".join(str(c) for c in rec.generator.coords),
+                     rec.spins))
+    return rows
 
 
 def _quad_block(block):
@@ -293,7 +296,7 @@ def _dispatch(args, out, err, usage) -> int:
         _emit_csv(("p", "beta", "spin_direct", "spin_formula", "agree"), rows, out)
         return 0
 
-    ctx = parse_field(args.field)
+    ctx = construct_field(*args.field)
 
     def coords(flag, value):
         # coordinates from a flag, checked against the degree of the field
@@ -373,15 +376,12 @@ def _dispatch(args, out, err, usage) -> int:
         blocks = _norm_blocks(args.max_norm)
         chunks = _run_blocks((ctx, dom, args.degree_one_only, mod8, modM),
                              _spins_block, blocks, args.workers)
-        rows = [r for chunk, _ in chunks for r in chunk]
-        gnf = sum(g for _, g in chunks)
+        rows = [r for chunk in chunks for r in chunk]
         rows.sort(key=lambda r: (r[0], r[1], r[2]))
         n = ctx.degree
         header = ["p", "r", "norm", "gen_coords"] + [f"spin_k{k}" for k in range(1, n)]
         flat = [(r[1], r[3], r[0], r[4], *r[5]) for r in rows]
         _emit_csv(header, flat, out)
-        if gnf:
-            err.write(f'{{"generator_not_found": {gnf}}}\n')
         return 0
 
     if cmd == "spin-sum":

@@ -140,11 +140,17 @@ def _orbit_roots(ctx, p: int) -> list[int]:
     f = [c % p for c in ctx.poly]
     if poly_powmod([0, 1], p, f, p) != [0, 1]:
         return []
-    r = next(split_linear(f, p))
-    roots = {eval_coords_mod_p(sk[1], r, p) for sk in ctx.automorphisms}
-    if len(roots) != ctx.degree:
+    return sorted(galois_orbit(ctx, next(split_linear(f, p)), p))
+
+
+def galois_orbit(ctx, r: int, p: int) -> list[int]:
+    """[s_0(r), ..., s_(n-1)(r)] mod p, with s_k the coordinates of
+    sigma^k(alpha), for a root r of f mod an unramified p: sigma^(n-k) maps
+    the prime (p, alpha - r) to (p, alpha - s_k(r)) (see galois_prime)."""
+    orbit = [eval_coords_mod_p(sk[1], r, p) for sk in ctx.automorphisms]
+    if len(set(orbit)) != ctx.degree:
         raise ArithmeticError(f"Galois orbit of a root mod {p} is not {ctx.degree} roots")
-    return sorted(roots)
+    return orbit
 
 
 def galois_prime(ctx, prime: PrimeIdealData, k: int) -> PrimeIdealData:

@@ -4,6 +4,11 @@ structural relations (conjugation, twisted multiplicativity).
 
 The canonical generator of an ideal is fixed once: totally positive,
 trace-minimal in the closed fundamental domain, lexicographic tie-break.
+The prime stream first certifies h+ = 1 (units.certify_h_plus_one), so
+every prime of degree one has such a generator; it reads them from the
+census of the norm window, and a prime's position and spins from the root
+of gcd(g, f) mod p and its Galois orbit.  Only inert primes are split, and
+spin_record's lattice search serves single ideals and the tests.
 Congruence filters never move the generator; they ask units.square_multiplier
 whether some unit-square multiple of it lies in the target classes, one
 lookup in a table of the unit squares' classes modulo the filter moduli.
@@ -11,19 +16,28 @@ lookup in a table of the unit squares' classes modulo the filter moduli.
 
 from dataclasses import dataclass
 
-from .errors import EvenIdeal, GeneratorNotFound, NotCoprime
+from .arith import iroot_ceil, legendre, poly_gcd_modp, sieve_primes
+from .errors import EvenIdeal, NotCoprime
 from .fields import FieldElement
 from .ideals import (
     IdealFactorization,
     PrimeIdealData,
     apply_galois_ideal,
+    eval_coords_mod_p,
     find_generator,
+    galois_orbit,
     galois_prime,
-    prime_ideals_in_norm_range,
     prime_power_ideal,
+    split_prime,
 )
 from .symbols import mu_and_mu2, prime_symbol, residue_symbol
-from .units import FundamentalDomain, canonical_generator, square_multiplier
+from .units import (
+    FundamentalDomain,
+    canonical_generator,
+    census_window,
+    certify_h_plus_one,
+    square_multiplier,
+)
 
 
 @dataclass(frozen=True)
@@ -79,39 +93,74 @@ def spin_prime_stream(ctx, dom: FundamentalDomain, X: int,
                       mod8_class: tuple[int, ...] | None = None,
                       mod_M: tuple[int, tuple[int, ...]] | None = None,
                       lo: int = 1):
-    """SpinRecords for prime ideals with lo <= norm <= X, in the order of
-    prime_ideals_in_norm_range.  Yields ('record', SpinRecord) and, for
-    primes whose generator search failed, ('generator_not_found',
-    PrimeIdealData); the caller decides how to account for those.  With
-    mod8_class or mod_M = (M, class), a record is kept only for an odd prime
-    with a unit-square multiple of its generator in every given class."""
+    """SpinRecords for the prime ideals with lo <= norm <= X, ascending by
+    (norm, p, position), once h+ = 1 is certified (HypothesisViolated
+    otherwise).  With mod8_class or mod_M = (M, class), a record is kept
+    only when a unit-square multiple of its generator lies in every given
+    class.
+
+    Every prime of degree one is principal with a totally positive
+    generator, so its canonical generator is a census element of norm p:
+    the least one lying in it when several lie on the domain boundary, as
+    in reduce_to_domain.  Only the inert primes, of norm p^n, and the
+    ramified ones are split."""
+    certify_h_plus_one(dom)
     conditions = []
     if mod8_class is not None:
         conditions.append((8, mod8_class))
     if mod_M is not None:
         conditions.append(mod_M)
-    for prime in prime_ideals_in_norm_range(ctx, lo, X, degree_one_only):
-        try:
-            rec = spin_record(ctx, dom, prime)
-        except GeneratorNotFound:
-            yield ("generator_not_found", prime)
+    n = ctx.degree
+    records = _degree_one_records(ctx, dom, lo, X)
+    if not degree_one_only:
+        small = sieve_primes(iroot_ceil(X + 1, n) - 1, lo=iroot_ceil(lo, n))
+        records += [spin_record(ctx, dom, prime) for p in small
+                    for prime in split_prime(ctx, p) if prime.f == n]
+    records.sort(key=lambda rec: rec.prime.sort_key)
+    for rec in records:
+        if not conditions or square_multiplier(ctx, conditions, rec.generator) is not None:
+            yield rec
+
+
+def _degree_one_records(ctx, dom: FundamentalDomain, lo: int, hi: int) -> list:
+    """SpinRecords of the primes of degree one with lo <= p <= hi, from the
+    census elements of prime norm in that window.  Such an element g lies in
+    one prime above p: for unramified p its root r is the root of gcd(g(x),
+    f(x)) mod p and its position that of r in the sorted Galois orbit of r;
+    a ramified p has one prime, from split_prime."""
+    n = ctx.degree
+    primes = set(sieve_primes(hi, lo=lo))
+    least: dict = {}  # (p, r) -> least coordinates of a generator
+    for p, coords in census_window(dom, lo, hi):
+        if p not in primes:
             continue
-        if conditions and (prime.p == 2
-                           or square_multiplier(ctx, conditions, rec.generator) is None):
-            continue  # filtered streams keep odd primes only
-        yield ("record", rec)
-
-
-def collect_spin_records(ctx, dom, X, **kw):
-    """Materialize the stream: (records_sorted, failures)."""
-    recs, fails = [], []
-    for kind, item in spin_prime_stream(ctx, dom, X, **kw):
-        if kind == "record":
-            recs.append(item)
+        if ctx.disc_field % p:
+            root = poly_gcd_modp(list(coords), list(ctx.poly), p)
+            if len(root) != 2:
+                raise ArithmeticError(f"{coords} of norm {p} is not in one prime above {p}")
+            r = -root[0] % p
         else:
-            fails.append(item)
-    recs.sort(key=lambda r: r.prime.sort_key)
-    return recs, fails
+            r = split_prime(ctx, p)[0].r
+        if (p, r) not in least or coords < least[p, r]:
+            least[p, r] = coords
+    out = []
+    for (p, r), coords in least.items():
+        if ctx.disc_field % p == 0:
+            prime, spins = split_prime(ctx, p)[0], (0,) * (n - 1)
+        else:
+            orbit = galois_orbit(ctx, r, p)
+            prime = PrimeIdealData(p, 1, 1, r, sorted(orbit).index(r))
+            # sigma^k(P) = (p, alpha - s_(n-k)(r)); no +-1 symbol at 2
+            spins = tuple(0 if p == 2 else
+                          legendre(eval_coords_mod_p(coords, orbit[n - k], p), p)
+                          for k in range(1, n))
+        out.append(SpinRecord(prime, ctx.element(coords), spins))
+    return out
+
+
+def collect_spin_records(ctx, dom, X, **kw) -> list:
+    """The stream as a list, sorted by prime."""
+    return list(spin_prime_stream(ctx, dom, X, **kw))
 
 
 # ---------------------------------------------------------------------------

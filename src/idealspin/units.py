@@ -1,21 +1,30 @@
-"""Unit-group sign combinatorics and the fundamental domain of the totally
-positive unit action.
+"""Unit-group sign combinatorics, the fundamental domain of the totally
+positive unit action, its census and the h+ = 1 certificate.
 
 The domain used everywhere is the trace-minimal cell: a totally positive x
 lies inside iff T(u*x) > T(x) for every nontrivial totally positive unit u,
 and finitely many units (the small units, all embeddings below the cutoff C)
 suffice to decide this.  All comparisons are exact integer comparisons of
 trace bilinear forms.
+
+The census lists the closed domain's integral elements by norm window.  Its
+rows T(u*x) >= T(x) cut out a pointed cone with certified totally positive
+rays; the hull of 0 and the rays scaled to norm hi bounds the outer
+coordinate by a box and the next one slice by slice, and along each tail
+the norm is one integer polynomial in a0, solved exactly for the window.
+census_window yields (norm, coords); domain_elements is its cached sorted
+list.  Once certify_h_plus_one has proved h+ = 1 from the Minkowski bound,
+every prime of degree one has its canonical generator in the census.
 """
 
 import weakref
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations, product
-from math import gcd, lcm, log
+from math import factorial, gcd, isqrt, lcm, log
 from operator import mul
 
-from .arith import iroot_ceil
+from .arith import iroot_ceil, sieve_primes
 from .errors import (
     CostGuard,
     HypothesisViolated,
@@ -24,7 +33,7 @@ from .errors import (
     SignSystemSingular,
 )
 from .fields import FieldElement
-from .ideals import ideal_lattice
+from .ideals import eval_coords_mod_p, ideal_lattice, split_prime
 from .lattice import det, f2_echelon, f2_solve, gauss_jordan, hnf_residue
 
 # Scalings of the log-embedding solution tried for the contracting unit.
@@ -239,6 +248,7 @@ class FundamentalDomain:
     moves: tuple = ()          # small units and their inverses, for descent
     move_rows: tuple = ()
     _census: dict = field(default_factory=dict, repr=False)
+    _h_plus_one: bool = field(default=False, repr=False)  # set by certify_h_plus_one
 
 
 def _trace_row(ctx, u) -> tuple:
@@ -443,78 +453,163 @@ def _cone_rays(ctx, rows) -> list[tuple[int, ...]]:
     return sorted(rays)
 
 
-def domain_elements(dom: FundamentalDomain, X: int) -> list[tuple[int, ...]]:
-    """Coordinates of every nonzero integral element of the closed domain
-    with norm <= X.  Cached per domain.
+# Bits of the dyadic scale factors of the hull vertices: the hull of the
+# census is a superset of the exact one by at most 2^-HULL_BITS of a ray.
+HULL_BITS = 32
+
+
+def census_window(dom: FundamentalDomain, lo: int, hi: int):
+    """(norm, coords) of every nonzero integral element of the closed domain
+    with lo <= norm <= hi, tail by tail, each tail in increasing a0.
 
     The closed domain is the trace cone K without the origin (see
     _cone_rays).  N^(1/n) is concave and 1-homogeneous on the totally
-    positive cone, so every element of norm <= X lies in the convex hull of
-    0 and the points (X / N(r))^(1/n) r over the rays r; that hull bounds
-    each coordinate.  For each tail (a1, ..., a_{n-1}) in the box, the a0
-    with (a0, tail) in K form a ray of totally positive elements, along
-    which the norm increases."""
-    if X in dom._census:
-        return dom._census[X]
+    positive cone, so every element of norm <= hi lies in the hull of 0 and
+    the points s_i r_i over the rays r_i, for any s_i >= (hi / N(r_i))^(1/n);
+    s_i is taken dyadic.  The hull bounds a_(n-1) by its box, a_(n-2) by
+    its slice at each a_(n-1) (for n >= 3) and the coordinates between by
+    its box, all rounded outward.  For each tail beta = (0, a1, ...,
+    a_(n-1)) the a0 with (a0, tail) in K form a ray of totally positive
+    elements, from the exact trace-row bound up, along which the norm
+    P(t) = N(t + beta) = sum_k e_k(beta) t^(n-k) increases; its
+    coefficients come from the traces of beta, ..., beta^n by Newton's
+    identities, and the a0 window is the exact solution of lo <= P(t) <=
+    hi."""
     ctx = dom.ctx
     n = ctx.degree
     rows = [tuple(w - t for w, t in zip(row, dom.identity_row)) for row in dom.trace_rows]
-    lo = [0] * n
-    hi = [0] * n
-    for ray in _cone_rays(ctx, rows):
-        N = ctx.norm_coords(ray)
-        for j, c in enumerate(ray):
-            # |c| (X / N)^(1/n), rounded up
-            b = iroot_ceil(-(-X * abs(c) ** n // N), n)
-            if c > 0:
-                hi[j] = max(hi[j], b)
-            elif c < 0:
-                lo[j] = min(lo[j], -b)
-    out: list[tuple[int, ...]] = []
-    coords = [0] * n
+    rays = _cone_rays(ctx, rows)
+    # a facet of K holds n - 1 independent rays, so the rows vanishing on
+    # n - 1 rays still cut out K; the a0 bound needs no others
+    rows = [row for row in rows
+            if sum(1 for ray in rays if not sum(map(mul, row, ray))) >= n - 1]
+    scale = 1 << HULL_BITS
+    verts = [(0,) * n]
+    for ray in rays:
+        s = iroot_ceil(-(-hi * scale**n // ctx.norm_coords(ray)), n)
+        verts.append(tuple(s * c for c in ray))
+    box = [range(min(v[j] for v in verts) // scale,
+                 -(-max(v[j] for v in verts) // scale) + 1) for j in range(n)]
+    plane = [(v[n - 2], v[n - 1]) for v in verts]
+    for top in box[n - 1]:
+        inner = box[1:n - 1]
+        if n >= 3:
+            inner[-1] = _hull_slice(plane, top * scale, scale)
+        for mid in product(*inner):
+            tail = mid + (top,)
+            # each row reads c0 a0 + s >= 0 with c0 = T(u) - n > 0 (AM-GM),
+            # so a0 >= ceil(-s / c0); a0 >= 1 on the zero tail
+            a0 = max(-(sum(map(mul, row[1:], tail)) // row[0]) for row in rows)
+            coeffs = _norm_polynomial(ctx, dom.identity_row, (0,) + tail)
+            for t in _a0_window(coeffs, a0 if any(tail) else max(a0, 1), lo, hi):
+                yield _horner(coeffs, t), (t,) + tail
 
-    def scan_a0():
-        # each row reads c0 a0 + s >= 0 with c0 = T(u) - n > 0 (AM-GM), so
-        # a0 >= ceil(-s / c0); a0 >= 1 on the zero tail
-        tail = coords[1:]
-        a0 = max(-(sum(map(mul, row[1:], tail)) // row[0]) for row in rows)
-        if not any(tail):
-            a0 = max(a0, 1)
-        coords[0] = a0
-        if ctx.norm_coords(tuple(coords)) > X:
-            return
-        step = 1
-        while True:
-            coords[0] = a0 + step
-            if ctx.norm_coords(tuple(coords)) > X:
-                break
-            step *= 2
-        lo2, hi2 = a0, a0 + step
-        while hi2 - lo2 > 1:
-            mid = (lo2 + hi2) // 2
-            coords[0] = mid
-            if ctx.norm_coords(tuple(coords)) <= X:
-                lo2 = mid
+
+def _hull_slice(points, y, scale):
+    """The integers x, rounded outward, of the slice at height y of the
+    convex hull of the points (both coordinates scaled by scale): every
+    edge of the hull joins two of the points, so the slice's ends are
+    where the point-pair segments crossing y meet it."""
+    ends = []  # (num, den) with den > 0: the point num / (den * scale)
+    for (x1, y1), (x2, y2) in combinations(points, 2):
+        if y1 == y2:
+            if y1 == y:
+                ends += [(x1, 1), (x2, 1)]
+        elif min(y1, y2) <= y <= max(y1, y2):
+            num, den = x1 * (y2 - y1) + (y - y1) * (x2 - x1), y2 - y1
+            ends.append((num, den) if den > 0 else (-num, -den))
+    if not ends:
+        return range(0)
+    return range(min(num // (den * scale) for num, den in ends),
+                 max(-(-num // (den * scale)) for num, den in ends) + 1)
+
+
+def _norm_polynomial(ctx, ps, beta) -> list[int]:
+    """[e_0, ..., e_n] with N(t + beta) = sum_k e_k t^(n-k): the elementary
+    symmetric functions of beta's conjugates, from the power sums p_i =
+    T(beta^i) (T(x) = ps . x) by Newton's identities, k e_k = sum_i
+    (-1)^(i-1) e_(k-i) p_i."""
+    power, signed = beta, [sum(map(mul, ps, beta))]  # (-1)^(i-1) p_i
+    for i in range(2, ctx.degree + 1):
+        power = ctx.mul_coords(power, beta)
+        p = sum(map(mul, ps, power))
+        signed.append(-p if i % 2 == 0 else p)
+    coeffs = [1]
+    for k in range(1, ctx.degree + 1):
+        coeffs.append(sum(map(mul, reversed(coeffs), signed)) // k)
+    return coeffs
+
+
+def _horner(coeffs, t: int) -> int:
+    acc = 0
+    for c in coeffs:
+        acc = acc * t + c
+    return acc
+
+
+def _a0_window(coeffs, start: int, lo: int, hi: int) -> range:
+    """The t >= start with lo <= P(t) <= hi, for a polynomial P increasing
+    on [start, oo): doubling, then bisection, at each end."""
+    def last_at_most(bound):
+        # the largest t >= start with P(t) <= bound, given P(start) <= bound
+        t, step = start, 1
+        while _horner(coeffs, t + step) <= bound:
+            t, step = t + step, 2 * step
+        top = t + step
+        while top - t > 1:
+            mid = (t + top) // 2
+            if _horner(coeffs, mid) <= bound:
+                t = mid
             else:
-                hi2 = mid
-        for v in range(a0, lo2 + 1):
-            coords[0] = v
-            out.append(tuple(coords))
-        coords[0] = 0
+                top = mid
+        return t
 
-    def rec(i):
-        if i == 0:
-            scan_a0()
-            return
-        for v in range(lo[i], hi[i] + 1):
-            coords[i] = v
-            rec(i - 1)
-        coords[i] = 0
+    at_start = _horner(coeffs, start)
+    if at_start > hi:
+        return range(0)
+    first = last_at_most(lo - 1) + 1 if at_start < lo else start
+    return range(first, last_at_most(hi) + 1)
 
-    rec(n - 1)
-    out.sort()
-    dom._census[X] = out
-    return out
+
+def domain_elements(dom: FundamentalDomain, X: int) -> list[tuple[int, ...]]:
+    """Coordinates of every nonzero integral element of the closed domain
+    with norm <= X, sorted: the census of the window [1, X] (sliced hull,
+    norm polynomial along each tail; see census_window) without the norms.
+    Cached per domain."""
+    if X not in dom._census:
+        dom._census[X] = sorted(coords for _, coords in census_window(dom, 1, X))
+    return dom._census[X]
+
+
+def certify_h_plus_one(dom: FundamentalDomain) -> None:
+    """Prove that the narrow class number h+ is 1, once per domain, or
+    raise HypothesisViolated.
+
+    Minkowski's bound M = n!/n^n sqrt|D| (compared in integers) puts an
+    integral ideal of norm <= M in every ideal class, so the primes of norm
+    <= M generate the class group.  An inert prime is (p); a prime of
+    degree one is generated by a census element of its norm lying in it,
+    which is totally positive.  When every such prime has one, h = 1, and
+    unit signs of full F2 rank (verify_unit_plus_square) make h+ = h."""
+    if dom._h_plus_one:
+        return
+    ctx = dom.ctx
+    n = ctx.degree
+    if not verify_unit_plus_square(ctx)["sign_map_surjective"]:
+        raise HypothesisViolated("the unit signs do not cover every sign pattern, "
+                                 "so h+ = 1 is unproved")
+    bound = isqrt(factorial(n) ** 2 * abs(ctx.disc_field)) // n**n
+    census: dict = {}
+    for norm, coords in census_window(dom, 2, bound):
+        census.setdefault(norm, []).append(coords)
+    for p in sieve_primes(bound):
+        for prime in split_prime(ctx, p):
+            if prime.f == 1 and not any(eval_coords_mod_p(c, prime.r, p) == 0
+                                        for c in census.get(p, ())):
+                raise HypothesisViolated(
+                    f"{prime!r} has norm {p} <= the Minkowski bound and no totally "
+                    f"positive generator, so h+ = 1 is unproved")
+    dom._h_plus_one = True
 
 
 def domain_class_counts(dom: FundamentalDomain, X: int, ideal) -> dict:

@@ -49,7 +49,7 @@ def test_spin_sum_small(shanks1, dom1):
 def _records(ctx, dom, X):
     from idealspin.spin import collect_spin_records
 
-    recs, _ = collect_spin_records(ctx, dom, X)
+    recs = collect_spin_records(ctx, dom, X)
     return recs
 
 

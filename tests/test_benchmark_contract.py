@@ -43,4 +43,5 @@ def test_traced_run_keeps_output_and_sees_the_layers(tracer, argv):
         assert _stdout(argv) == plain
     metrics = tr.layer_metrics()
     assert metrics["ideals.split_prime.calls"] > 0
-    assert metrics["lattice.short_vectors.vectors"] > 0
+    if argv[0] == "quad-spins":  # spins reads its generators from the census
+        assert metrics["lattice.short_vectors.vectors"] > 0

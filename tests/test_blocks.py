@@ -3,7 +3,6 @@ depend on the block size or the worker count, and no prime ideal may be
 lost at a block edge."""
 
 import io
-import json
 import sys
 from collections import Counter
 
@@ -11,7 +10,6 @@ import pytest
 
 from idealspin import cli
 from idealspin.arith import sieve_primes
-from idealspin.errors import GeneratorNotFound
 from idealspin.ideals import enumerate_prime_ideals, prime_ideals_in_norm_range
 
 
@@ -96,19 +94,38 @@ def test_windowed_sieve():
             assert sieve_primes(limit, lo=lo) == [p for p in sieve_primes(limit) if p >= lo]
 
 
-def test_generator_not_found_is_counted_on_err(monkeypatch):
-    spin_mod = sys.modules["idealspin.spin"]
-    real = spin_mod.spin_record
+def _count_calls(monkeypatch, *names):
+    """Log the positional arguments of every call to the named library
+    functions, patched in every module that imported them."""
+    calls = {}
+    for name in names:
+        real = getattr(sys.modules["idealspin.ideals"], name)
+        log = calls[name] = []
 
-    def failing(ctx, dom, prime, **kw):
-        if prime.p == 13 and prime.r == 7:
-            raise GeneratorNotFound("forced failure")
-        return real(ctx, dom, prime, **kw)
+        def counting(*args, _real=real, _log=log, **kw):
+            _log.append(args)
+            return _real(*args, **kw)
 
-    monkeypatch.setattr(spin_mod, "spin_record", failing)
-    code, out, err = run_cli("spins", "--field", "shanks:1", "--max-norm", "100")
-    assert code == 0
-    rows = out.splitlines()[1:]
-    assert not any(r.startswith("13,7,13,") for r in rows)
-    assert any(r.startswith("13,8,13,") for r in rows)
-    assert json.loads(err) == {"generator_not_found": 1}
+        for mod in [m for k, m in sys.modules.items() if k.startswith("idealspin.")]:
+            if getattr(mod, name, None) is real:
+                monkeypatch.setattr(mod, name, counting)
+    return calls
+
+
+@pytest.mark.parametrize("argv,per_block", [
+    (("spins", "--max-norm", "3000"), cli.PRIMES_PER_BLOCK),
+    (("spins", "--max-norm", "3000"), 250),
+    (("spin-sum", "--max-norm", "3000"), cli.PRIMES_PER_BLOCK),
+], ids=["spins-1-block", "spins-2-blocks", "spin-sum"])
+def test_spins_search_no_lattice(monkeypatch, argv, per_block):
+    """spins and spin-sum read every generator of a degree-one prime from
+    the census: no generator search, no short vectors, and p is split only
+    when an inert prime above it fits (p^3 <= X) or p | disc = 49."""
+    monkeypatch.setattr(cli, "PRIMES_PER_BLOCK", per_block)
+    calls = _count_calls(monkeypatch, "find_generator", "short_vectors", "split_prime")
+    code, out, _ = run_cli(*argv, "--field", "shanks:1")
+    assert code == 0 and out
+    assert len(cli._norm_blocks(3000)) == (2 if per_block == 250 else 1)
+    assert calls["find_generator"] == [] and calls["short_vectors"] == []
+    split = {args[1] for args in calls["split_prime"]}
+    assert split and all(p**3 <= 3000 or 49 % p == 0 for p in split), split

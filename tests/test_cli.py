@@ -1,3 +1,4 @@
+import argparse
 import hashlib
 import io
 import json
@@ -8,6 +9,7 @@ from pathlib import Path
 
 import pytest
 
+from idealspin import cli as cli_module
 from idealspin.cli import build_parser, parse_field, run
 
 
@@ -132,10 +134,14 @@ def test_flag_not_read_by_command_is_usage_error(argv):
     ("spins", "--mod8", "1,0"),
     ("symbol", "--upper", "1,1", "--lower", "13:7"),
     ("symbol", "--upper", "0,1,0", "--lower", "13:5"),
+    ("spins", "--field", "foo:1"),
+    ("spins", "--field", "shanks:--1"),
+    ("spins", "--field", "shanks:"),
 ], ids=" ".join)
 def test_malformed_argument_is_usage_error(argv):
     """Bad syntax, a coordinate count that does not fit the cubic field and
-    an r that is not a root of f mod 13 all exit 1 with an error line.  Run
+    an r that is not a root of f mod 13 all exit 1 with an error line (a
+    bad --field fails on parsing, before the trailing good one).  Run
     as a process, so the test sees what a user sees: an uncaught exception
     would also exit 1, but with a traceback on stderr."""
     src = Path(__file__).resolve().parent.parent / "src"
@@ -166,6 +172,14 @@ def test_spins_five_rows():
     assert norms == [7, 8, 13, 13, 13]
 
 
+def test_congruence_filter_decides_the_prime_above_2():
+    """An odd modulus can admit an even generator: 2 = (2, 0, 0) mod 15."""
+    code, out, _ = run_cli("spins", "--field", "shanks:1", "--max-norm", "10",
+                           "--modM", "15:2,0,0")
+    assert code == 0
+    assert out.splitlines() == ["p,r,norm,gen_coords,spin_k1,spin_k2", "2,-1,8,2:0:0,0,0"]
+
+
 def test_symbol_command():
     code, out, _ = run_cli("symbol", "--upper", "0,1,0", "--lower", "13:7")
     assert code == 0 and out.strip() == "-1"
@@ -189,8 +203,28 @@ def test_hypothesis_error_exit_code():
     assert json.loads(err)["error"] == "HypothesisViolated"
 
 
+@pytest.mark.parametrize("argv", [
+    ("spins", "--field", "quad:65", "--workers", "1"),
+    ("spins", "--field", "quad:65", "--workers", "2"),
+    ("spins", "--field", "quad:85", "--workers", "2"),
+    ("spins", "--field", "shanks:14", "--workers", "1"),
+    ("spins", "--field", "shanks:14", "--workers", "2"),
+    ("spin-sum", "--field", "quad:85"),
+], ids=" ".join)
+def test_uncertified_field_is_refused(monkeypatch, argv):
+    """A field whose h+ = 1 certificate fails exits 2 with the JSON error
+    naming the prime, also when the blocks run in two worker processes."""
+    monkeypatch.setattr(cli_module, "PRIMES_PER_BLOCK", 20)
+    code, out, err = run_cli(*argv, "--max-norm", "500")
+    assert code == 2 and out == ""
+    got = json.loads(err)
+    assert got["error"] == "HypothesisViolated"
+    prime = {"quad:65": "P(2,", "quad:85": "P(3,", "shanks:14": "P(5,"}[argv[2]]
+    assert prime in got["message"]
+
+
 def test_parse_field_rejects_garbage():
-    with pytest.raises(ValueError):
+    with pytest.raises(argparse.ArgumentTypeError):
         parse_field("nonsense")
 
 

@@ -1,11 +1,15 @@
+import io
 import random
 
 import pytest
 
+from idealspin import cli
 from idealspin.arith import sieve_primes
-from idealspin.errors import EvenIdeal, NotCoprime
+from idealspin.errors import EvenIdeal, GeneratorNotFound, NotCoprime
+from idealspin.fields import construct_field
 from idealspin.ideals import (
     apply_galois_ideal,
+    enumerate_prime_ideals,
     find_generator,
     make_ideal,
     prime_power_ideal,
@@ -21,7 +25,7 @@ from idealspin.spin import (
     twisted_multiplicativity_check,
 )
 from idealspin.symbols import residue_symbol
-from idealspin.units import canonical_generator, square_multiplier
+from idealspin.units import build_domain, canonical_generator, square_multiplier
 
 
 def test_spin_ramified_zero(shanks1, dom1):
@@ -88,24 +92,23 @@ def test_zero_locus_degree_one(shanks1, dom1):
 
 
 def test_stream_example(shanks1, dom1):
-    recs, fails = collect_spin_records(shanks1, dom1, 13)
-    assert not fails
+    recs = collect_spin_records(shanks1, dom1, 13)
     assert [r.prime.norm for r in recs] == [7, 8, 13, 13, 13]
     # degree-one filter drops norm 8; nothing below 7 remains
-    recs, _ = collect_spin_records(shanks1, dom1, 6, degree_one_only=True)
+    recs = collect_spin_records(shanks1, dom1, 6, degree_one_only=True)
     assert recs == []
 
 
 def test_stream_mod8_filter(shanks1, dom1):
-    """The filtered stream keeps exactly the odd primes whose generator has
-    a unit-square multiple = 1 mod 8 (square_multiplier is checked against
+    """The filtered stream keeps exactly the primes whose generator has a
+    unit-square multiple = 1 mod 8 (square_multiplier is checked against
     the brute-force image in test_units)."""
     one = shanks1.coords_mod(shanks1.one, 8)
-    recs, _ = collect_spin_records(shanks1, dom1, 3000, mod8_class=one)
+    recs = collect_spin_records(shanks1, dom1, 3000, mod8_class=one)
     assert recs  # some primes qualify
-    all_recs, _ = collect_spin_records(shanks1, dom1, 3000)
-    expect = [r for r in all_recs if r.prime.p != 2
-              and square_multiplier(shanks1, ((8, one),), r.generator) is not None]
+    all_recs = collect_spin_records(shanks1, dom1, 3000)
+    expect = [r for r in all_recs
+              if square_multiplier(shanks1, ((8, one),), r.generator) is not None]
     assert [r.prime for r in recs] == [r.prime for r in expect]
 
 
@@ -164,3 +167,42 @@ def test_canonical_generator_is_canonical(shanks1, dom1):
         # re-canonicalizing any unit-square associate reproduces it
         u = shanks1.unit_generators[1]
         assert canonical_generator(dom1, g * u * u) == g
+
+
+@pytest.mark.parametrize("family,param", [
+    ("shanks_cubic", 1), ("shanks_cubic", 4), ("real_quadratic", 5), ("real_quadratic", 17),
+])
+def test_stream_matches_the_search(family, param):
+    """Differential check: for every prime ideal of norm < 2000 the census
+    stream gives the record of the lattice search, the ramified prime, the
+    primes above 2 (split on quad:17) and the boundary ties of test_units
+    included."""
+    ctx = construct_field(family, param)
+    dom = build_domain(ctx)
+    got = collect_spin_records(ctx, dom, 1999)
+    assert got == [spin_record(ctx, dom, pr) for pr in enumerate_prime_ideals(ctx, 1999)]
+    assert any(r.prime.e > 1 for r in got) and any(r.prime.p == 2 for r in got)
+
+
+@pytest.mark.parametrize("d,missed", [(73, 38), (97, 44), (109, 16)])
+def test_spins_rows_where_the_search_fails(d, missed):
+    """On these h+ = 1 fields the lattice search (kappa <= 64) misses some
+    primes of norm <= 500.  spins keeps every row the search gives and adds
+    one row for each prime it misses, with nothing on stderr."""
+    ctx = construct_field("real_quadratic", d)
+    dom = build_domain(ctx)
+    out, err = io.StringIO(), io.StringIO()
+    assert cli.run(["spins", "--field", f"quad:{d}", "--max-norm", "500"], out, err) == 0
+    assert err.getvalue() == ""
+    rows = out.getvalue().splitlines()[1:]
+    found = []
+    for prime in enumerate_prime_ideals(ctx, 500):
+        try:
+            rec = spin_record(ctx, dom, prime)
+        except GeneratorNotFound:
+            continue
+        r = prime.r if prime.r is not None else -1
+        gen = ":".join(map(str, rec.generator.coords))
+        found.append(",".join(map(str, (prime.p, r, prime.norm, gen, *rec.spins))))
+    assert set(found) <= set(rows)
+    assert len(rows) == len(found) + missed

@@ -2,6 +2,7 @@ import dataclasses
 import hashlib
 import io
 import random
+import re
 from fractions import Fraction
 from bisect import bisect_left
 from itertools import product
@@ -12,15 +13,17 @@ import pytest
 from idealspin import cli
 from idealspin.errors import HypothesisViolated, NotTotallyPositive
 from idealspin.fields import construct_field
-from idealspin.ideals import prime_power_ideal, split_prime
+from idealspin.ideals import enumerate_prime_ideals, prime_power_ideal, split_prime
 from idealspin.lattice import f2_echelon, f2_solve
-from idealspin.spin import spin_prime_stream
+from idealspin.spin import spin_record
 from idealspin.lattice import gauss_jordan
 from idealspin.units import (
     _dot,
     _enumerate_small_units,
     _float_identity,
     build_domain,
+    census_window,
+    certify_h_plus_one,
     count_in_domain,
     domain_class_counts,
     domain_contains,
@@ -196,8 +199,8 @@ def test_square_multiplier_matches_image_oracle(shanks1, shanks4, quad5):
 
 def test_spins_mod15_rows_match_image_oracle(shanks1):
     """--modM 15:1,0,0 meets generators of norm 3 and 5, which are not
-    invertible mod 15: the run succeeds, and its rows are the odd-prime
-    unfiltered rows whose generator the image admits."""
+    invertible mod 15: the run succeeds, and its rows are the unfiltered
+    rows whose generator the image admits, the prime above 2 included."""
     argv = ["spins", "--field", "shanks:1", "--max-norm", "3000"]
     out, unfiltered = io.StringIO(), io.StringIO()
     assert cli.run(argv + ["--modM", "15:1,0,0"], out, io.StringIO()) == 0
@@ -207,9 +210,8 @@ def test_spins_mod15_rows_match_image_oracle(shanks1):
     header, *rows = unfiltered.getvalue().splitlines()
     expect = [header] + [
         row for row in rows
-        if row.split(",")[0] != "2" and _image_admits(
-            shanks1, image, conditions,
-            shanks1.element(tuple(int(c) for c in row.split(",")[3].split(":"))))
+        if _image_admits(shanks1, image, conditions,
+                         shanks1.element(tuple(int(c) for c in row.split(",")[3].split(":"))))
     ]
     assert out.getvalue().splitlines() == expect
     assert len(expect) > 10
@@ -322,9 +324,9 @@ def test_census_contains_search_generators(request, name):
     for coords in domain_elements(dom, X):
         by_norm.setdefault(ctx.norm_coords(coords), []).append(coords)
     checked = boundary = 0
-    for kind, rec in spin_prime_stream(ctx, dom, X, degree_one_only=True):
-        assert kind == "record", rec
-        p, r = rec.prime.p, rec.prime.r
+    for prime in enumerate_prime_ideals(ctx, X, degree_one_only=True):
+        rec = spin_record(ctx, dom, prime)
+        p, r = prime.p, prime.r
         in_prime = [c for c in by_norm.get(p, [])
                     if sum(ci * r**i for i, ci in enumerate(c)) % p == 0]
         assert rec.generator.coords in in_prime, rec.prime
@@ -490,6 +492,55 @@ def test_census_golden(m, count, digest):
     els = domain_elements(dom, 1500)
     assert len(els) == count
     assert hashlib.sha1(repr(els).encode()).hexdigest()[:12] == digest
+
+
+@pytest.mark.parametrize("m,X,count,digest", [
+    (13, 2000, 348, "7e4152aedee1"), (29, 2000, 102, "4cb70b8d664b"),
+    (7, 20000, 6765, "52ac3ca4a6df"),
+])
+def test_census_golden_large_m(m, X, count, digest):
+    """Thin slanted hulls, where most of the coordinate box is empty; pinned
+    from the box census that preceded the sliced hull."""
+    dom = build_domain(construct_field("shanks_cubic", m))
+    els = domain_elements(dom, X)
+    assert len(els) == count
+    assert hashlib.sha1(repr(els).encode()).hexdigest()[:12] == digest
+
+
+@pytest.mark.parametrize("family,param,X", [
+    ("shanks_cubic", 1, 3000), ("shanks_cubic", 7, 3000), ("real_quadratic", 5, 5000),
+])
+def test_census_windows_split_the_census(family, param, X):
+    """Norm windows that cut [1, X] give every census element exactly once,
+    each with its exact norm, one-norm windows included."""
+    dom = build_domain(construct_field(family, param))
+    edges = sorted(set(random.Random(param).sample(range(1, X), 6)) | {0, 7, 8, X})
+    got = []
+    for lo, hi in zip(edges, edges[1:]):
+        for norm, coords in census_window(dom, lo + 1, hi):
+            assert lo < norm <= hi and norm == dom.ctx.norm_coords(coords)
+            got.append(coords)
+    assert sorted(got) == domain_elements(dom, X)
+
+
+@pytest.mark.parametrize("family,param,refused", [
+    ("shanks_cubic", 1, None), ("shanks_cubic", 4, None), ("shanks_cubic", 5, None),
+    ("shanks_cubic", 7, None), ("shanks_cubic", 13, None), ("real_quadratic", 73, None),
+    ("real_quadratic", 65, "P(2,"), ("real_quadratic", 85, "P(3,"),
+    ("shanks_cubic", 14, "P(5,"),
+])
+def test_h_plus_one_certificate(family, param, refused):
+    """h+ = 1 is proved on first use, not when the domain is built; a
+    field of class number above 1 is refused with the first prime below
+    the Minkowski bound that has no generator."""
+    dom = build_domain(construct_field(family, param))
+    assert not dom._h_plus_one
+    if refused is None:
+        certify_h_plus_one(dom)
+        assert dom._h_plus_one
+    else:
+        with pytest.raises(HypothesisViolated, match=re.escape(refused)):
+            certify_h_plus_one(dom)
 
 
 def test_census_rejects_a_ray_that_is_not_totally_positive(quad5, dom5):
