@@ -23,11 +23,13 @@ from .spin import conjugation_relation_check, spin_prime_stream, spin_record
 from .symbols import residue_symbol, residues_mod
 from .units import (
     build_domain,
+    certify_h_plus_one,
     count_in_domain,
     domain_contains,
     domain_elements,
     make_totally_positive,
     reduce_to_domain,
+    tail_table,
     verify_unit_plus_square,
 )
 
@@ -163,7 +165,11 @@ def _run_blocks(payload, block_fn, blocks, workers: int):
     of the worker count."""
     if workers <= 1 or len(blocks) <= 1:
         _pool_init(payload)
-        return [block_fn(b) for b in blocks]
+        try:
+            return [block_fn(b) for b in blocks]
+        finally:
+            # the payload's domain holds its census; let it go with the call
+            _POOL_STATE.clear()
     # deferred: importing multiprocessing adds about 0.9 MB to the peak RSS
     # of every one-worker run, which never uses it
     import multiprocessing as mp
@@ -373,6 +379,11 @@ def _dispatch(args, out, err, usage) -> int:
         if modM:
             coords("--modM", modM[1])
         dom = build_domain(ctx)
+        # certified before any block (there is none at --max-norm 0), and
+        # the tail table built once here, shared by the blocks and inherited
+        # by forked workers
+        certify_h_plus_one(dom)
+        tail_table(dom, args.max_norm)
         blocks = _norm_blocks(args.max_norm)
         chunks = _run_blocks((ctx, dom, args.degree_one_only, mod8, modM),
                              _spins_block, blocks, args.workers)
@@ -380,8 +391,7 @@ def _dispatch(args, out, err, usage) -> int:
         rows.sort(key=lambda r: (r[0], r[1], r[2]))
         n = ctx.degree
         header = ["p", "r", "norm", "gen_coords"] + [f"spin_k{k}" for k in range(1, n)]
-        flat = [(r[1], r[3], r[0], r[4], *r[5]) for r in rows]
-        _emit_csv(header, flat, out)
+        _emit_csv(header, ((r[1], r[3], r[0], r[4], *r[5]) for r in rows), out)
         return 0
 
     if cmd == "spin-sum":

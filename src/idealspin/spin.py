@@ -6,8 +6,9 @@ The canonical generator of an ideal is fixed once: totally positive,
 trace-minimal in the closed fundamental domain, lexicographic tie-break.
 The prime stream first certifies h+ = 1 (units.certify_h_plus_one), so
 every prime of degree one has such a generator; it reads them from the
-census of the norm window, and a prime's position and spins from the root
-of gcd(g, f) mod p and its Galois orbit.  Only inert primes are split, and
+census of the norm window, and the primes above p, their positions and
+their spins from one root of gcd(g, f) mod p, its Galois orbit and each
+generator's values on it.  Only inert primes are split, and
 spin_record's lattice search serves single ideals and the tests.
 Congruence filters never move the generator; they ask units.square_multiplier
 whether some unit-square multiple of it lies in the target classes, one
@@ -23,7 +24,6 @@ from .ideals import (
     IdealFactorization,
     PrimeIdealData,
     apply_galois_ideal,
-    eval_coords_mod_p,
     find_generator,
     galois_orbit,
     galois_prime,
@@ -124,37 +124,50 @@ def spin_prime_stream(ctx, dom: FundamentalDomain, X: int,
 
 def _degree_one_records(ctx, dom: FundamentalDomain, lo: int, hi: int) -> list:
     """SpinRecords of the primes of degree one with lo <= p <= hi, from the
-    census elements of prime norm in that window.  Such an element g lies in
-    one prime above p: for unramified p its root r is the root of gcd(g(x),
-    f(x)) mod p and its position that of r in the sorted Galois orbit of r;
-    a ramified p has one prime, from split_prime."""
+    census elements of prime norm in that window, grouped by p.  A ramified
+    p has one prime, from split_prime.  For unramified p, the root of
+    gcd(g(x), f(x)) mod p for one element g gives the Galois orbit
+    [s_0(r), ..., s_(n-1)(r)] of the n roots, and each element lies in the
+    one prime (p, alpha - orbit[j]) where it vanishes; its position is the
+    rank of orbit[j] in the sorted orbit.  s_a(orbit[b]) = orbit[(a + b) mod
+    n], so spin k, the symbol at sigma^k(P) = (p, alpha - s_(n-k)(orbit[j])),
+    reads the value at orbit[(j + n - k) mod n]."""
     n = ctx.degree
     primes = set(sieve_primes(hi, lo=lo))
-    least: dict = {}  # (p, r) -> least coordinates of a generator
+    by_p: dict = {}  # p -> census elements of norm p
     for p, coords in census_window(dom, lo, hi):
-        if p not in primes:
-            continue
-        if ctx.disc_field % p:
-            root = poly_gcd_modp(list(coords), list(ctx.poly), p)
-            if len(root) != 2:
-                raise ArithmeticError(f"{coords} of norm {p} is not in one prime above {p}")
-            r = -root[0] % p
-        else:
-            r = split_prime(ctx, p)[0].r
-        if (p, r) not in least or coords < least[p, r]:
-            least[p, r] = coords
+        if p in primes:
+            by_p.setdefault(p, []).append(coords)
     out = []
-    for (p, r), coords in least.items():
+    for p, elements in by_p.items():
         if ctx.disc_field % p == 0:
-            prime, spins = split_prime(ctx, p)[0], (0,) * (n - 1)
-        else:
-            orbit = galois_orbit(ctx, r, p)
-            prime = PrimeIdealData(p, 1, 1, r, sorted(orbit).index(r))
-            # sigma^k(P) = (p, alpha - s_(n-k)(r)); no +-1 symbol at 2
-            spins = tuple(0 if p == 2 else
-                          legendre(eval_coords_mod_p(coords, orbit[n - k], p), p)
+            out.append(SpinRecord(split_prime(ctx, p)[0], ctx.element(min(elements)),
+                                  (0,) * (n - 1)))
+            continue
+        root = poly_gcd_modp(list(elements[0]), list(ctx.poly), p)
+        if len(root) != 2:
+            raise ArithmeticError(f"{elements[0]} of norm {p} is not in one prime above {p}")
+        orbit = galois_orbit(ctx, -root[0] % p, p)
+        least: dict = {}  # j -> (least coordinates, their values on the orbit)
+        for coords in elements:
+            values = []
+            for x in orbit:
+                acc = 0
+                for c in reversed(coords):
+                    acc = acc * x + c
+                values.append(acc % p)
+            if values.count(0) != 1:
+                raise ArithmeticError(f"{coords} of norm {p} is not in one prime above {p}")
+            j = values.index(0)
+            if j not in least or coords < least[j][0]:
+                least[j] = coords, values
+        ranks = sorted(orbit)
+        for j, (coords, values) in least.items():
+            prime = PrimeIdealData(p, 1, 1, orbit[j], ranks.index(orbit[j]))
+            # no +-1 symbol at 2
+            spins = tuple(0 if p == 2 else legendre(values[(j + n - k) % n], p)
                           for k in range(1, n))
-        out.append(SpinRecord(prime, ctx.element(coords), spins))
+            out.append(SpinRecord(prime, ctx.element(coords), spins))
     return out
 
 

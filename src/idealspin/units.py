@@ -12,9 +12,15 @@ rows T(u*x) >= T(x) cut out a pointed cone with certified totally positive
 rays; the hull of 0 and the rays scaled to norm hi bounds the outer
 coordinate by a box and the next one slice by slice, and along each tail
 the norm is one integer polynomial in a0, solved exactly for the window.
-census_window yields (norm, coords); domain_elements is its cached sorted
-list.  Once certify_h_plus_one has proved h+ = 1 from the Minkowski bound,
-every prime of degree one has its canonical generator in the census.
+The domain keeps a tail table (tail_table): the cone's rays and facet
+rows, and one tuple (start a0, tail, norm polynomial) per tail that holds
+an element of norm <= the largest hi asked so far, built once and extended
+as hi grows, so windows share it and a tail that is empty is never built.
+Its memory is one tuple of 2n integers per such tail (1,162 tuples on
+shanks:7 at 2*10^4).  census_window yields (norm, coords) from it;
+domain_elements is its cached sorted list.  Once certify_h_plus_one has
+proved h+ = 1 from the Minkowski bound, every prime of degree one has its
+canonical generator in the census.
 """
 
 import weakref
@@ -458,9 +464,14 @@ def _cone_rays(ctx, rows) -> list[tuple[int, ...]]:
 HULL_BITS = 32
 
 
-def census_window(dom: FundamentalDomain, lo: int, hi: int):
-    """(norm, coords) of every nonzero integral element of the closed domain
-    with lo <= norm <= hi, tail by tail, each tail in increasing a0.
+def tail_table(dom: FundamentalDomain, hi: int) -> list[tuple[int, ...]]:
+    """The domain's tail table, extended to hi: one flat tuple (start a0,
+    a1, ..., a_(n-1), e_1, ..., e_n) per tail beta = (0, a1, ...,
+    a_(n-1)) that holds an element of norm <= hi, with P(t) = N(t + beta)
+    = t^n + sum_k e_k t^(n-k) its norm along the tail from the exact
+    trace-row bound start up.  It lives in dom._census with the cone's
+    rays and facet rows, so every window reads it and each tail's norm
+    polynomial is built once per domain, whatever the windows asked.
 
     The closed domain is the trace cone K without the origin (see
     _cone_rays).  N^(1/n) is concave and 1-homogeneous on the totally
@@ -468,24 +479,33 @@ def census_window(dom: FundamentalDomain, lo: int, hi: int):
     the points s_i r_i over the rays r_i, for any s_i >= (hi / N(r_i))^(1/n);
     s_i is taken dyadic.  The hull bounds a_(n-1) by its box, a_(n-2) by
     its slice at each a_(n-1) (for n >= 3) and the coordinates between by
-    its box, all rounded outward.  For each tail beta = (0, a1, ...,
-    a_(n-1)) the a0 with (a0, tail) in K form a ray of totally positive
-    elements, from the exact trace-row bound up, along which the norm
-    P(t) = N(t + beta) = sum_k e_k(beta) t^(n-k) increases; its
-    coefficients come from the traces of beta, ..., beta^n by Newton's
-    identities, and the a0 window is the exact solution of lo <= P(t) <=
-    hi."""
+    its box, all rounded outward.  For each tail the a0 with (a0, tail) in
+    K form a ray of totally positive elements, from start up, along which
+    P increases, so the tail is empty up to hi exactly when P(start) > hi:
+    such a tail is neither built nor stored.  The hull grows with hi, so a
+    tail with P(start) at most the last hi is already stored; extending
+    the table builds only the tails in between.  The table holds one tuple
+    per non-empty tail at the largest hi asked (1,162 on shanks:7 at 2*10^4)."""
     ctx = dom.ctx
     n = ctx.degree
-    rows = [tuple(w - t for w, t in zip(row, dom.identity_row)) for row in dom.trace_rows]
-    rays = _cone_rays(ctx, rows)
-    # a facet of K holds n - 1 independent rays, so the rows vanishing on
-    # n - 1 rays still cut out K; the a0 bound needs no others
-    rows = [row for row in rows
-            if sum(1 for ray in rays if not sum(map(mul, row, ray))) >= n - 1]
+    table = dom._census.get("tails")
+    if table is None:
+        rows = [tuple(w - t for w, t in zip(row, dom.identity_row))
+                for row in dom.trace_rows]
+        rays = _cone_rays(ctx, rows)
+        # a facet of K holds n - 1 independent rays, so the rows vanishing on
+        # n - 1 rays still cut out K; the a0 bound needs no others
+        rows = [row for row in rows
+                if sum(1 for ray in rays if not sum(map(mul, row, ray))) >= n - 1]
+        table = dom._census["tails"] = {"rays": rays, "rows": rows, "hi": 0,
+                                        "entries": []}
+    done, entries = table["hi"], table["entries"]
+    if hi <= done:
+        return entries
+    rows = table["rows"]
     scale = 1 << HULL_BITS
     verts = [(0,) * n]
-    for ray in rays:
+    for ray in table["rays"]:
         s = iroot_ceil(-(-hi * scale**n // ctx.norm_coords(ray)), n)
         verts.append(tuple(s * c for c in ray))
     box = [range(min(v[j] for v in verts) // scale,
@@ -499,10 +519,26 @@ def census_window(dom: FundamentalDomain, lo: int, hi: int):
             tail = mid + (top,)
             # each row reads c0 a0 + s >= 0 with c0 = T(u) - n > 0 (AM-GM),
             # so a0 >= ceil(-s / c0); a0 >= 1 on the zero tail
-            a0 = max(-(sum(map(mul, row[1:], tail)) // row[0]) for row in rows)
-            coeffs = _norm_polynomial(ctx, dom.identity_row, (0,) + tail)
-            for t in _a0_window(coeffs, a0 if any(tail) else max(a0, 1), lo, hi):
-                yield _horner(coeffs, t), (t,) + tail
+            start = max(-(sum(map(mul, row[1:], tail)) // row[0]) for row in rows)
+            if not any(tail):
+                start = max(start, 1)
+            if done < ctx.norm_coords((start,) + tail) <= hi:
+                entries.append((start, *tail,
+                                *_norm_polynomial(ctx, dom.identity_row, (0,) + tail)))
+    table["hi"] = hi
+    return entries
+
+
+def census_window(dom: FundamentalDomain, lo: int, hi: int):
+    """(norm, coords) of every nonzero integral element of the closed domain
+    with lo <= norm <= hi, tail by tail in the order of the tail table
+    (tail_table, extended to hi), each tail in increasing a0; the a0 window
+    of a tail is the exact solution of lo <= P(t) <= hi."""
+    n = dom.ctx.degree
+    for entry in tail_table(dom, hi):
+        coeffs = entry[n:]
+        for t in _a0_window(coeffs, entry[0], lo, hi):
+            yield _horner(coeffs, t), (t,) + entry[1:n]
 
 
 def _hull_slice(points, y, scale):
@@ -525,9 +561,9 @@ def _hull_slice(points, y, scale):
 
 
 def _norm_polynomial(ctx, ps, beta) -> list[int]:
-    """[e_0, ..., e_n] with N(t + beta) = sum_k e_k t^(n-k): the elementary
-    symmetric functions of beta's conjugates, from the power sums p_i =
-    T(beta^i) (T(x) = ps . x) by Newton's identities, k e_k = sum_i
+    """[e_1, ..., e_n] with N(t + beta) = t^n + sum_k e_k t^(n-k): the
+    elementary symmetric functions of beta's conjugates, from the power sums
+    p_i = T(beta^i) (T(x) = ps . x) by Newton's identities, k e_k = sum_i
     (-1)^(i-1) e_(k-i) p_i."""
     power, signed = beta, [sum(map(mul, ps, beta))]  # (-1)^(i-1) p_i
     for i in range(2, ctx.degree + 1):
@@ -537,11 +573,12 @@ def _norm_polynomial(ctx, ps, beta) -> list[int]:
     coeffs = [1]
     for k in range(1, ctx.degree + 1):
         coeffs.append(sum(map(mul, reversed(coeffs), signed)) // k)
-    return coeffs
+    return coeffs[1:]
 
 
 def _horner(coeffs, t: int) -> int:
-    acc = 0
+    """The monic polynomial t^n + sum_k coeffs[k-1] t^(n-k) at t."""
+    acc = 1
     for c in coeffs:
         acc = acc * t + c
     return acc

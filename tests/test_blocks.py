@@ -8,7 +8,7 @@ from collections import Counter
 
 import pytest
 
-from idealspin import cli
+from idealspin import cli, units
 from idealspin.arith import sieve_primes
 from idealspin.ideals import enumerate_prime_ideals, prime_ideals_in_norm_range
 
@@ -129,3 +129,33 @@ def test_spins_search_no_lattice(monkeypatch, argv, per_block):
     assert calls["find_generator"] == [] and calls["short_vectors"] == []
     split = {args[1] for args in calls["split_prime"]}
     assert split and all(p**3 <= 3000 or 49 % p == 0 for p in split), split
+
+
+def test_spins_builds_each_tail_once(monkeypatch):
+    """The tail table outlives the norm windows: spins builds each stored
+    tail's norm polynomial once, for 46 blocks as for 3, and none for a
+    tail that holds no element."""
+    built, doms = [], []
+    real_poly = units._norm_polynomial
+
+    def counting(*args):
+        built.append(args[2])
+        return real_poly(*args)
+
+    def recording(ctx):
+        doms.append(units.build_domain(ctx))
+        return doms[-1]
+
+    monkeypatch.setattr(units, "_norm_polynomial", counting)
+    monkeypatch.setattr(cli, "build_domain", recording)
+    counts, blocks = [], []
+    for per_block in (50, 1000):
+        monkeypatch.setattr(cli, "PRIMES_PER_BLOCK", per_block)
+        built.clear()
+        assert run_cli("spins", "--field", "shanks:7", "--max-norm", "20000",
+                       "--workers", "1")[0] == 0
+        tails = units.tail_table(doms[-1], 20000)
+        assert len(built) == len(set(built)) == len(tails)
+        counts.append(len(built))
+        blocks.append(len(cli._norm_blocks(20000)))
+    assert blocks == [46, 3] and counts[0] == counts[1]

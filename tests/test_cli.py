@@ -1,16 +1,19 @@
 import argparse
+import gc
 import hashlib
 import io
 import json
 import os
 import subprocess
 import sys
+import weakref
 from pathlib import Path
 
 import pytest
 
 from idealspin import cli as cli_module
 from idealspin.cli import build_parser, parse_field, run
+from idealspin.units import build_domain
 
 
 def run_cli(*argv):
@@ -210,17 +213,39 @@ def test_hypothesis_error_exit_code():
     ("spins", "--field", "shanks:14", "--workers", "1"),
     ("spins", "--field", "shanks:14", "--workers", "2"),
     ("spin-sum", "--field", "quad:85"),
+    ("spins", "--field", "quad:65", "--max-norm", "0"),
 ], ids=" ".join)
 def test_uncertified_field_is_refused(monkeypatch, argv):
     """A field whose h+ = 1 certificate fails exits 2 with the JSON error
-    naming the prime, also when the blocks run in two worker processes."""
+    naming the prime, also when the blocks run in two worker processes and
+    when no block runs at all (--max-norm 0)."""
     monkeypatch.setattr(cli_module, "PRIMES_PER_BLOCK", 20)
-    code, out, err = run_cli(*argv, "--max-norm", "500")
+    if "--max-norm" not in argv:
+        argv += ("--max-norm", "500")
+    code, out, err = run_cli(*argv)
     assert code == 2 and out == ""
     got = json.loads(err)
     assert got["error"] == "HypothesisViolated"
     prime = {"quad:65": "P(2,", "quad:85": "P(3,", "shanks:14": "P(5,"}[argv[2]]
     assert prime in got["message"]
+
+
+def test_spins_releases_its_domain(monkeypatch):
+    """The one-worker block path keeps no payload after the command returns,
+    so the domain and its census table are freed with the call."""
+    doms = []
+
+    def recording(ctx):
+        dom = build_domain(ctx)
+        doms.append(weakref.ref(dom))
+        return dom
+
+    monkeypatch.setattr(cli_module, "build_domain", recording)
+    code, out, _ = run_cli("spins", "--field", "shanks:1", "--max-norm", "200",
+                           "--workers", "1")
+    assert code == 0 and out
+    gc.collect()
+    assert len(doms) == 1 and doms[0]() is None
 
 
 def test_parse_field_rejects_garbage():

@@ -170,13 +170,15 @@ def test_canonical_generator_is_canonical(shanks1, dom1):
 
 
 @pytest.mark.parametrize("family,param", [
-    ("shanks_cubic", 1), ("shanks_cubic", 4), ("real_quadratic", 5), ("real_quadratic", 17),
+    ("shanks_cubic", 1), ("shanks_cubic", 4), ("shanks_cubic", 7), ("real_quadratic", 5),
+    ("real_quadratic", 17),
 ])
 def test_stream_matches_the_search(family, param):
     """Differential check: for every prime ideal of norm < 2000 the census
     stream gives the record of the lattice search, the ramified prime, the
     primes above 2 (split on quad:17) and the boundary ties of test_units
-    included."""
+    included.  On shanks:7, sigma(alpha) = -2 + 6 alpha + alpha^2, so the
+    positions and spins read the Galois orbit at shifted indices."""
     ctx = construct_field(family, param)
     dom = build_domain(ctx)
     got = collect_spin_records(ctx, dom, 1999)

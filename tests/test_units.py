@@ -512,15 +512,20 @@ def test_census_golden_large_m(m, X, count, digest):
 ])
 def test_census_windows_split_the_census(family, param, X):
     """Norm windows that cut [1, X] give every census element exactly once,
-    each with its exact norm, one-norm windows included."""
-    dom = build_domain(construct_field(family, param))
+    each with its exact norm, one-norm windows included, in whatever order
+    one domain's tail table is asked: ascending, largest window first, or
+    descending."""
+    want = domain_elements(build_domain(construct_field(family, param)), X)
     edges = sorted(set(random.Random(param).sample(range(1, X), 6)) | {0, 7, 8, X})
-    got = []
-    for lo, hi in zip(edges, edges[1:]):
-        for norm, coords in census_window(dom, lo + 1, hi):
-            assert lo < norm <= hi and norm == dom.ctx.norm_coords(coords)
-            got.append(coords)
-    assert sorted(got) == domain_elements(dom, X)
+    windows = list(zip(edges, edges[1:]))
+    for order in (windows, windows[-1:] + windows[:-1], windows[::-1]):
+        dom = build_domain(construct_field(family, param))
+        got = []
+        for lo, hi in order:
+            for norm, coords in census_window(dom, lo + 1, hi):
+                assert lo < norm <= hi and norm == dom.ctx.norm_coords(coords)
+                got.append(coords)
+        assert sorted(got) == want
 
 
 @pytest.mark.parametrize("family,param,refused", [
