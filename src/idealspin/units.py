@@ -511,6 +511,7 @@ def tail_table(dom: FundamentalDomain, hi: int) -> list[tuple[int, ...]]:
     box = [range(min(v[j] for v in verts) // scale,
                  -(-max(v[j] for v in verts) // scale) + 1) for j in range(n)]
     plane = [(v[n - 2], v[n - 1]) for v in verts]
+    new = []  # stored with hi only once complete, so an interrupted pass adds none
     for top in box[n - 1]:
         inner = box[1:n - 1]
         if n >= 3:
@@ -523,8 +524,9 @@ def tail_table(dom: FundamentalDomain, hi: int) -> list[tuple[int, ...]]:
             if not any(tail):
                 start = max(start, 1)
             if done < ctx.norm_coords((start,) + tail) <= hi:
-                entries.append((start, *tail,
-                                *_norm_polynomial(ctx, dom.identity_row, (0,) + tail)))
+                new.append((start, *tail,
+                            *_norm_polynomial(ctx, dom.identity_row, (0,) + tail)))
+    entries += new
     table["hi"] = hi
     return entries
 
