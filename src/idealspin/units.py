@@ -535,7 +535,10 @@ def census_window(dom: FundamentalDomain, lo: int, hi: int):
     """(norm, coords) of every nonzero integral element of the closed domain
     with lo <= norm <= hi, tail by tail in the order of the tail table
     (tail_table, extended to hi), each tail in increasing a0; the a0 window
-    of a tail is the exact solution of lo <= P(t) <= hi."""
+    of a tail is the exact solution of lo <= P(t) <= hi.  The table stays
+    with the domain and stores, for each tail holding an element of norm
+    <= the largest hi asked, its start a0 and norm polynomial: one tuple
+    of 2n integers per such tail (1,162 on shanks:7 at 2*10^4)."""
     n = dom.ctx.degree
     for entry in tail_table(dom, hi):
         coeffs = entry[n:]
